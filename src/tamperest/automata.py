@@ -181,7 +181,7 @@ class PlantNfa:
 
 
 def unobservable_cycle(plant: PlantNfa) -> Optional[list]:
-    """One cycle of unobservable transitions, or None if the subgraph is acyclic.
+    """One reachable cycle of unobservable transitions, or None if there is none.
 
     The witness is a list of transitions ``(src, event, dst)`` that starts
     and ends at the same state.
@@ -196,7 +196,7 @@ def unobservable_cycle(plant: PlantNfa) -> Optional[list]:
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {state: WHITE for state in plant.states}
     parent_edge: dict = {}
-    for root in sorted(plant.states, key=sort_key):
+    for root in sorted(plant.reachable_states(), key=sort_key):
         if color[root] != WHITE:
             continue
         stack = [(root, iter(edges.get(root, ())))]

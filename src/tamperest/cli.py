@@ -2,8 +2,10 @@
 
 Subcommands: ``observer``, ``estimate``, ``diagnose``, ``cmin``,
 ``export-dot``.  Exit codes: 0 success, 2 input/validation error,
-3 structural-precondition violation (dead state or unobservable cycle in
-the attack-augmented plant).
+3 structural-precondition violation (``diagnose`` on a plant with a
+reachable dead state or cycle of unobservable events).  ``diagnose --budget
+C`` is non-diagnosable exactly when ``cmin <= C``; witnesses show a deleted
+symbol as ``ε``.
 
 Output is canonical: identical inputs produce byte-identical output.
 """
@@ -18,7 +20,7 @@ from . import dot
 from .attacks import AttackModel, label_to_dict, load_model, render_labels
 from .automata import build_observer, load_plant, sort_key
 from .cmin import analyze_minimum_budget
-from .diagnoser import DeletionMarker, verify_diagnosability
+from .diagnoser import side_run, verify_diagnosability
 from .errors import ConfigurationError, PreconditionError, ValidationError
 from .estimator import estimate_least_cost
 
@@ -134,10 +136,6 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _render_event(event) -> str:
-    return str(event) if isinstance(event, DeletionMarker) else event
-
-
 def _cmd_diagnose(args) -> int:
     plant, model, faults = _load_inputs(args)
     result = verify_diagnosability(
@@ -145,20 +143,18 @@ def _cmd_diagnose(args) -> int:
     )
     payload = {"budget": args.budget, "diagnosable": result.diagnosable}
     if args.witness and result.witness is not None:
-        cycle_left, cycle_right = [], []
-        for (_src, event, side, _dst) in result.witness.cycle:
-            if "L" in side:
-                cycle_left.append(_render_event(event))
-            if "R" in side:
-                cycle_right.append(_render_event(event))
+        witness = result.witness
         payload["witness"] = {
-            "left_run": [_render_event(e) for e in result.witness.left_run],
-            "right_run": [_render_event(e) for e in result.witness.right_run],
-            "cycle": {"left": cycle_left, "right": cycle_right},
+            "left_run": list(witness.left_run),
+            "right_run": list(witness.right_run),
+            "cycle": {
+                "left": list(side_run(witness.cycle, "L")),
+                "right": list(side_run(witness.cycle, "R")),
+            },
         }
     _emit(payload)
     if args.dot:
-        _write_dot(args.dot, dot.twin_verifier_to_dot(result.verifier))
+        _write_dot(args.dot, dot.costed_twin_verifier_to_dot(result.verifier, name="verifier"))
     return EXIT_OK
 
 
@@ -225,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, attacks=True, faults=True)
     p.add_argument("--budget", type=int, required=True, help="attacker budget")
     p.add_argument("--witness", action="store_true", help="include a counterexample run pair")
-    p.add_argument("--dot", help="write the verifier to this DOT file")
+    p.add_argument("--dot", help="write the costed twin verifier to this DOT file")
     p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("cmin", help="minimum attack budget that defeats diagnosis forever")

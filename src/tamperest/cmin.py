@@ -9,6 +9,10 @@ wins forever from any state that sits on a cost-free cycle whose label pair
 stays mismatched; the cheapest way in, measured as the larger of the two
 side costs, is the minimum defeating budget.  A label-correcting search with
 Pareto (antichain) cost pairs computes it.
+
+The same search decides diagnosability at a budget C: given ``budget=C`` it
+explores only attacks that cost each side at most C, so it finds a value
+exactly when the minimum defeating budget is at most C.
 """
 
 from __future__ import annotations
@@ -19,12 +23,20 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .attacks import AttackModel
 from .automata import EPSILON_DISPLAY, PlantNfa, sort_key
-from .diagnoser import FAULTY, NORMAL, is_mismatched
 from .errors import ValidationError
 from .scc import cycle_within, strongly_connected_components
 
 #: Event component of a deletion edge: nothing is observed.
 EPSILON = ""
+
+#: Fault labels of one side of a twin verifier; ``FAULTY`` is absorbing.
+NORMAL = "N"
+FAULTY = "F"
+
+
+def is_mismatched(state) -> bool:
+    _x, l1, _y, l2 = state
+    return l1 != l2
 
 
 def render_symbol(symbol: str) -> str:
@@ -125,9 +137,13 @@ def _vstep_sort_key(step):
 
 
 def build_costed_twin_verifier(
-    corrupted: CorruptedAutomaton, faults: frozenset
+    corrupted: CorruptedAutomaton, faults: frozenset, budget: Optional[int] = None
 ) -> CostedTwinVerifier:
-    """Accessible twin product; pure stay/stay pairs are not materialised."""
+    """Accessible twin product; pure stay/stay pairs are not materialised.
+
+    With a `budget`, edge pairs on which either side costs more than the
+    budget are left out, since no attack within the budget can take them.
+    """
     plant = corrupted.plant
     faults = frozenset(faults)
     if not faults <= plant.unobservable:
@@ -161,6 +177,8 @@ def build_costed_twin_verifier(
                 for c_left, left_targets in sorted(lefts):
                     for c_right, right_targets in sorted(rights):
                         if symbol == EPSILON and c_left == 0 and c_right == 0:
+                            continue
+                        if budget is not None and max(c_left, c_right) > budget:
                             continue
                         side = _eps_side(symbol, c_left, c_right)
                         tau = ((symbol, c_left), (symbol, c_right))
@@ -212,18 +230,8 @@ def find_free_confusion_states(verifier: CostedTwinVerifier):
     Returns ``(states, cycles)`` where `cycles` holds one witness state
     sequence per strongly connected component that contains such a cycle.
     """
-    mismatched = {q for q in verifier.states if is_mismatched(q)}
-
-    def successors(q):
-        return [
-            step[3]
-            for step in verifier.outgoing(q)
-            if step[3] in mismatched and step_costs(step) == (0, 0)
-        ]
-
-    components = strongly_connected_components(
-        sorted(mismatched, key=_vstate_sort_key), successors
-    )
+    mismatched, successors = _free_mismatched_graph(verifier)
+    components = strongly_connected_components(mismatched, successors)
     anchored = frozenset()
     cycles = []
     for component in components:
@@ -232,6 +240,40 @@ def find_free_confusion_states(verifier: CostedTwinVerifier):
             cycles.append(tuple(cycle_within(component, successors)))
     cycles.sort(key=lambda nodes: _vstate_sort_key(nodes[0]))
     return anchored, cycles
+
+
+def _free_mismatched_graph(verifier: CostedTwinVerifier):
+    """Mismatched states in canonical order, and their cost-free successors among them."""
+    mismatched = sorted(
+        (q for q in verifier.states if is_mismatched(q)), key=_vstate_sort_key
+    )
+    members = frozenset(mismatched)
+
+    def successors(q):
+        return [
+            step[3]
+            for step in verifier.outgoing(q)
+            if step[3] in members and step_costs(step) == (0, 0)
+        ]
+
+    return mismatched, successors
+
+
+def free_confusion_cycle(verifier: CostedTwinVerifier, start) -> tuple:
+    """Steps of a cost-free cycle from `start` back to it through mismatched states.
+
+    `start` must be one of the states :func:`find_free_confusion_states`
+    returns.
+    """
+    mismatched, successors = _free_mismatched_graph(verifier)
+    component = next(
+        c for c in strongly_connected_components(mismatched, successors) if start in c
+    )
+    nodes = cycle_within([start] + [q for q in component if q != start], successors)
+    return tuple(
+        next(s for s in verifier.outgoing(a) if s[3] == b and step_costs(s) == (0, 0))
+        for a, b in zip(nodes, nodes[1:])
+    )
 
 
 def pareto_update(pairs, candidate):
@@ -270,13 +312,14 @@ class CminResult:
         return self.value is not None
 
 
-def propagate_cost_labels(verifier: CostedTwinVerifier):
+def propagate_cost_labels(verifier: CostedTwinVerifier, budget: Optional[int] = None):
     """Label-correcting propagation of Pareto cost-pair antichains.
 
     Initial states start at ``{(0, 0)}``; a state is re-enqueued whenever its
     antichain changes (max-of-sums does not admit a label-setting order).
     Termination: a lap around any cycle either repeats a pair (dropped as a
-    duplicate) or is dominated by the pair recorded before the lap.
+    duplicate) or is dominated by the pair recorded before the lap.  With a
+    `budget`, pairs whose larger side exceeds it are dropped.
 
     Returns ``(labels, parents)`` where `parents` maps each inserted
     ``(state, pair)`` to the ``(state, pair, step)`` that produced it.
@@ -315,6 +358,8 @@ def propagate_cost_labels(verifier: CostedTwinVerifier):
             delta = step_costs(step)
             dst = step[3]
             candidate = (pair[0] + delta.left, pair[1] + delta.right)
+            if budget is not None and max(candidate) > budget:
+                continue
             updated, changed = pareto_update(labels[dst], candidate)
             if changed:
                 labels[dst] = updated
@@ -330,21 +375,24 @@ def analyze_minimum_budget(
     model: AttackModel,
     faults: Optional[frozenset] = None,
     want_witness: bool = False,
+    budget: Optional[int] = None,
 ) -> CminResult:
     """Pareto label-correcting search for the minimum defeating budget.
 
     The result is the smallest ``max(left, right)`` over all cost labels at
     states that can sustain mismatched fault labels for free; None when no
-    such state exists.
+    such state exists.  With a `budget`, only attacks costing each side at
+    most `budget` are explored, so the value is None unless the minimum is
+    at most `budget`.
     """
     faults = frozenset(plant.faults if faults is None else faults)
     corrupted = build_corrupted_automaton(plant, model)
-    verifier = build_costed_twin_verifier(corrupted, faults)
+    verifier = build_costed_twin_verifier(corrupted, faults, budget=budget)
     ending, _cycles = find_free_confusion_states(verifier)
     if not ending:
         return CminResult(value=None, ending_states=frozenset(), labels={}, verifier=verifier)
 
-    labels, parents = propagate_cost_labels(verifier)
+    labels, parents = propagate_cost_labels(verifier, budget=budget)
     best = None
     best_key = None
     for q in sorted(ending, key=_vstate_sort_key):

@@ -1,14 +1,17 @@
 """Tamper-tolerant diagnosability under a cost-bounded attacker.
 
-The plant is augmented with the attacker's actions: states become
-``(plant_state, spent)`` pairs, substitutions and insertions appear as extra
-observable transitions that raise the spent component, and deletions appear
-as fresh unobservable marker events (a deleted symbol produces no
-observation).  A twin verifier then tracks two runs of the augmented plant
-with equal observable projections, labelling each run ``N`` or ``F``
-according to fault occurrence.  The system is diagnosable at the given
-budget exactly when no reachable cycle keeps one run fault-labelled and the
-other normal.
+The system is non-diagnosable at budget C exactly when its minimum defeating
+budget is at most C, so `verify_diagnosability` runs the costed twin-verifier
+search of :mod:`tamperest.cmin` cut off at C.
+
+Reference only, for the tests: the cost-layered verifier.  The plant is
+augmented with the attacker's actions: states become ``(plant_state, spent)``
+pairs, substitutions and insertions appear as extra observable transitions
+that raise the spent component, and deletions appear as fresh unobservable
+marker events.  A twin verifier then tracks two runs of the augmented plant
+with equal observable projections, labelling each run ``N`` or ``F``; built
+with cost bound C, it has a reachable mismatched cycle exactly when the
+system is non-diagnosable at C.
 """
 
 from __future__ import annotations
@@ -18,12 +21,20 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .attacks import AttackModel, check_budget
-from .automata import PlantNfa, sort_key
+from .automata import PlantNfa, dead_reachable_state, sort_key, unobservable_cycle
+from .cmin import (
+    FAULTY,
+    NORMAL,
+    CostedTwinVerifier,
+    analyze_minimum_budget,
+    free_confusion_cycle,
+    is_mismatched,
+    render_symbol,
+)
 from .errors import PreconditionError, ValidationError
 from .scc import cycle_within, strongly_connected_components
 
-NORMAL = "N"
-FAULTY = "F"
+# -- reference only: the cost-layered twin verifier ---------------------------
 
 
 @dataclass(frozen=True)
@@ -31,9 +42,6 @@ class DeletionMarker:
     """Unobservable stand-in event for an attacker-deleted symbol."""
 
     symbol: str
-
-    def __str__(self):
-        return f"del({self.symbol})"
 
 
 def event_sort_key(event):
@@ -87,15 +95,8 @@ class CostedPlant:
         return not isinstance(event, DeletionMarker) and event in faults
 
 
-def build_costed_plant(
-    plant: PlantNfa, model: AttackModel, bound: int, check_assumptions: bool = True
-) -> CostedPlant:
-    """Attach attack transitions to the plant, cut at accumulated cost `bound`.
-
-    Raises :class:`PreconditionError` when the result is not live or has a
-    cycle of unobservable events (both are required by the diagnosability
-    analyses), unless `check_assumptions` is disabled.
-    """
+def build_costed_plant(plant: PlantNfa, model: AttackModel, bound: int) -> CostedPlant:
+    """Attach attack transitions to the plant, cut at accumulated cost `bound`."""
     check_budget(bound, "cost bound", minimum=1)
     model.validate_against(plant)
     initial = frozenset((state, 0) for state in plant.initial)
@@ -129,7 +130,7 @@ def build_costed_plant(
             for target in plant.successors(state, symbol):
                 emit(src, DeletionMarker(symbol), (target, spent + cost))
 
-    result = CostedPlant(
+    return CostedPlant(
         plant=plant,
         model=model,
         bound=bound,
@@ -137,46 +138,6 @@ def build_costed_plant(
         initial=initial,
         transitions=frozenset(transitions),
     )
-    if check_assumptions:
-        _check_assumptions(result)
-    return result
-
-
-def _check_assumptions(costed: CostedPlant):
-    dead = sorted(
-        (s for s in costed.states if not costed.events_at(s)),
-        key=lambda s: (sort_key(s[0]), s[1]),
-    )
-    if dead:
-        raise PreconditionError(
-            f"augmented plant is not live: state {dead[0]!r} has no outgoing transition",
-            kind="liveness",
-            witness=dead[0],
-        )
-    unobservable_edges: dict = {}
-    for (src, event, dst) in costed.transitions:
-        if not costed.is_observable_event(event):
-            unobservable_edges.setdefault(src, set()).add(dst)
-    components = strongly_connected_components(
-        sorted(costed.states, key=lambda s: (sort_key(s[0]), s[1])),
-        lambda s: sorted(unobservable_edges.get(s, ()), key=lambda t: (sort_key(t[0]), t[1])),
-    )
-    for component in components:
-        has_edge = len(component) > 1 or component[0] in unobservable_edges.get(
-            component[0], ()
-        )
-        if has_edge:
-            cycle = cycle_within(
-                component,
-                lambda s: sorted(
-                    unobservable_edges.get(s, ()), key=lambda t: (sort_key(t[0]), t[1])
-                ),
-            )
-            raise PreconditionError(
-                "augmented plant has a cycle of unobservable events",
-                kind="unobservable-cycle",
-                witness=cycle,
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,11 +245,6 @@ class ConfusedCycle:
     cycle: tuple  # steps closing on the first cycle state
 
 
-def is_mismatched(state) -> bool:
-    _x, l1, _y, l2 = state
-    return l1 != l2
-
-
 def find_confused_cycle(verifier: TwinVerifier) -> Optional[ConfusedCycle]:
     """Search the mismatched-label subgraph for a cycle; None when clean."""
     mismatched = {q for q in verifier.states if is_mismatched(q)}
@@ -345,9 +301,16 @@ def _access_path(verifier: TwinVerifier, goal) -> tuple:
     raise ValueError("confused cycle is not reachable; verifier is inconsistent")
 
 
+# -- diagnosability through the costed twin verifier -------------------------
+
+
 @dataclass(frozen=True)
 class DiagnosisWitness:
-    """Counterexample: two equal-projection runs, one faulty, one normal."""
+    """Counterexample: two equal-projection runs, one faulty, one normal.
+
+    `access` (the cheapest attack into a confused state) and `cycle` (cost
+    free, back to that state) are costed twin-verifier steps.
+    """
 
     access: tuple
     cycle: tuple
@@ -360,17 +323,12 @@ class DiagnosisResult:
     diagnosable: bool
     budget: int
     witness: Optional[DiagnosisWitness] = None
-    verifier: Optional[TwinVerifier] = field(default=None, compare=False, repr=False)
+    verifier: Optional[CostedTwinVerifier] = field(default=None, compare=False, repr=False)
 
 
-def _runs_from_steps(steps: Sequence) -> tuple:
-    left, right = [], []
-    for (_src, event, side, _dst) in steps:
-        if "L" in side:
-            left.append(event)
-        if "R" in side:
-            right.append(event)
-    return tuple(left), tuple(right)
+def side_run(steps: Sequence, side: str) -> tuple:
+    """Symbols observed on one side (``"L"`` or ``"R"``) along twin-verifier steps."""
+    return tuple(render_symbol(tau[0][0]) for (_src, tau, moved, _dst) in steps if side in moved)
 
 
 def verify_diagnosability(
@@ -382,33 +340,51 @@ def verify_diagnosability(
 ) -> DiagnosisResult:
     """Decide whether every fault is eventually detected at this attack budget.
 
-    The augmented plant is built with cost bound ``budget + 1``; a verdict of
-    False comes with a reachable confused cycle, i.e. a faulty run and a
-    fault-free run that stay observation-equivalent forever.
+    The attacker may spend up to `budget` on each of the two runs, so the
+    verdict is False exactly when the minimum defeating budget is at most
+    `budget`; it then comes with a faulty and a fault-free run that stay
+    observation-equivalent forever.  A reachable dead plant state or cycle
+    of unobservable events raises :class:`PreconditionError` (attack edges
+    only follow plant transitions and deletions always cost, so the attacked
+    plant has neither exactly when the plant has neither).
     """
     check_budget(budget)
     faults = frozenset(plant.faults if faults is None else faults)
     if not faults <= plant.unobservable:
         raise ValidationError("fault events must be unobservable plant events")
-    costed = build_costed_plant(plant, model, budget + 1)
-    verifier = build_twin_verifier(costed, faults)
-    found = find_confused_cycle(verifier)
-    if found is None:
-        return DiagnosisResult(diagnosable=True, budget=budget, verifier=verifier)
+    model.validate_against(plant)
+    dead = dead_reachable_state(plant)
+    if dead is not None:
+        raise PreconditionError(
+            f"plant is not live: state {dead!r} has no outgoing transition",
+            kind="liveness",
+            witness=dead,
+        )
+    silent_cycle = unobservable_cycle(plant)
+    if silent_cycle is not None:
+        raise PreconditionError(
+            "plant has a cycle of unobservable events",
+            kind="unobservable-cycle",
+            witness=silent_cycle,
+        )
+    found = analyze_minimum_budget(
+        plant, model, faults, want_witness=want_witness, budget=budget
+    )
+    if not found.defeatable:
+        return DiagnosisResult(diagnosable=True, budget=budget, verifier=found.verifier)
     witness = None
     if want_witness:
-        unrolled = list(found.access) + list(found.cycle)
-        left_run, right_run = _runs_from_steps(unrolled)
-        observable = costed.plant.observable
-        left_obs = tuple(e for e in left_run if not isinstance(e, DeletionMarker) and e in observable)
-        right_obs = tuple(e for e in right_run if not isinstance(e, DeletionMarker) and e in observable)
-        assert left_obs == right_obs, "verifier runs must agree on observations"
+        # initial states are never mismatched, so the access path is not empty
+        cycle = free_confusion_cycle(found.verifier, found.witness[-1][3])
+        steps = found.witness + cycle
+        left_run, right_run = side_run(steps, "L"), side_run(steps, "R")
+        observable = plant.observable
+        assert [e for e in left_run if e in observable] == [
+            e for e in right_run if e in observable
+        ], "verifier runs must agree on observations"
         witness = DiagnosisWitness(
-            access=found.access,
-            cycle=found.cycle,
-            left_run=left_run,
-            right_run=right_run,
+            access=found.witness, cycle=cycle, left_run=left_run, right_run=right_run
         )
     return DiagnosisResult(
-        diagnosable=False, budget=budget, witness=witness, verifier=verifier
+        diagnosable=False, budget=budget, witness=witness, verifier=found.verifier
     )

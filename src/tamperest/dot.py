@@ -9,7 +9,6 @@ from __future__ import annotations
 from .attacks import render_label
 from .automata import ObserverDfa, PlantNfa, sort_key
 from .cmin import CostedTwinVerifier, render_symbol
-from .diagnoser import DeletionMarker, TwinVerifier, event_sort_key
 from .estimator import ProductAutomaton
 from .matching import CostedMatchingDfa
 
@@ -101,33 +100,6 @@ def product_to_dot(product: ProductAutomaton, name: str = "product") -> str:
                        sort_key(t[2][0]), t[2][1], t[2][2]),
     ):
         lines.append(f"  {node(src)} -> {node(dst)} [label={_q(render_label(label))}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _twin_state_label(state) -> str:
-    (x, c), l1, (y, d), l2 = state
-    return f"({x},{c}),{l1} | ({y},{d}),{l2}"
-
-
-def twin_verifier_to_dot(verifier: TwinVerifier, name: str = "verifier") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=box];"]
-    for state in sorted(verifier.states, key=_twin_state_label):
-        attrs = ""
-        if state[1] != state[3]:
-            attrs = " [style=filled, fillcolor=lightyellow]"
-        lines.append(f"  {_q(_twin_state_label(state))}{attrs};")
-    for (src, event, side, dst) in sorted(
-        verifier.transitions,
-        key=lambda t: (_twin_state_label(t[0]), event_sort_key(t[1]), t[2],
-                       _twin_state_label(t[3])),
-    ):
-        label = f"{event} [{side}]" if side != "LR" else str(event)
-        style = ", style=dashed" if isinstance(event, DeletionMarker) else ""
-        lines.append(
-            f"  {_q(_twin_state_label(src))} -> {_q(_twin_state_label(dst))} "
-            f"[label={_q(label)}{style}];"
-        )
     lines.append("}")
     return "\n".join(lines) + "\n"
 

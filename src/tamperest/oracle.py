@@ -108,28 +108,27 @@ def brute_force_diagnosable(
     """Twin search for a persistent faulty/normal confusion; True when none exists.
 
     Pairs of runs of the attack-augmented plant advance together on observed
-    symbols and independently on silent moves; the system is not diagnosable
-    exactly when some reachable pair with differing fault flags lies on a
-    cycle of such pairs.
+    symbols and independently on silent moves, and each run may spend at most
+    `budget` on attacks; the system is not diagnosable exactly when some
+    reachable pair with differing fault flags lies on a cycle of such pairs.
     """
     faults = frozenset(plant.faults if faults is None else faults)
     _guard(len(plant.states) <= limits.max_states, "plant too large for the oracle")
     _guard(budget <= limits.max_cost, "budget too large for the oracle")
-    bound = budget + 1
 
     def pair_successors(pair):
         (ln, lf), (rn, rf) = pair
         succ = []
-        for node, raised in _augmented_silent_moves(plant, model, bound, ln, faults):
+        for node, raised in _augmented_silent_moves(plant, model, budget, ln, faults):
             succ.append(((node, lf or raised), (rn, rf)))
-        for node, raised in _augmented_silent_moves(plant, model, bound, rn, faults):
+        for node, raised in _augmented_silent_moves(plant, model, budget, rn, faults):
             succ.append(((ln, lf), (node, rf or raised)))
-        for lnode, lraised in _augmented_silent_moves(plant, model, bound, ln, faults):
-            for rnode, rraised in _augmented_silent_moves(plant, model, bound, rn, faults):
+        for lnode, lraised in _augmented_silent_moves(plant, model, budget, ln, faults):
+            for rnode, rraised in _augmented_silent_moves(plant, model, budget, rn, faults):
                 succ.append(((lnode, lf or lraised), (rnode, rf or rraised)))
         for symbol in plant.observable:
-            lefts = _augmented_observable_moves(plant, model, bound, ln, symbol)
-            rights = _augmented_observable_moves(plant, model, bound, rn, symbol)
+            lefts = _augmented_observable_moves(plant, model, budget, ln, symbol)
+            rights = _augmented_observable_moves(plant, model, budget, rn, symbol)
             for lnode in lefts:
                 for rnode in rights:
                     succ.append(((lnode, lf), (rnode, rf)))

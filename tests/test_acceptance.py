@@ -219,11 +219,10 @@ def test_criterion_10_consistency_triangle(
 ):
     """Defeating budget versus diagnosability verdicts.
 
-    The augmented plant built for budget c admits attacker spend up to
-    ``c + 1`` (its cost layers run to the bound), so a plant with minimum
-    defeating budget ``c*`` is already non-diagnosable at budget ``c* - 1``;
-    no fixture admits a diagnosable verdict there.  The sharp boundary sits
-    one lower, which the defeatable fixture pins exactly.
+    The budget bounds what the attacker spends on each run, inclusive, so a
+    plant with minimum defeating budget ``c*`` is non-diagnosable at every
+    budget from ``c*`` on and diagnosable below it.  The defeatable fixture
+    pins the sharp boundary: its cheapest defeating route costs 2.
     """
     with criterion("criterion 10 (defeating budget vs diagnosability)"):
         cases = [
@@ -235,8 +234,6 @@ def test_criterion_10_consistency_triangle(
             assert c_star is not None
             assert not verify_diagnosability(plant, model, budget=c_star).diagnosable
             assert not verify_diagnosability(plant, model, budget=c_star + 1).diagnosable
-        # sharp boundary on the defeatable fixture: the cheapest defeating
-        # route costs 2, which fits the bound layers of budgets >= 1
         assert minimum_defeating_budget(defeatable_plant, defeatable_costs) == 2
-        assert verify_diagnosability(defeatable_plant, defeatable_costs, budget=0).diagnosable
-        assert not verify_diagnosability(defeatable_plant, defeatable_costs, budget=1).diagnosable
+        assert verify_diagnosability(defeatable_plant, defeatable_costs, budget=1).diagnosable
+        assert not verify_diagnosability(defeatable_plant, defeatable_costs, budget=2).diagnosable

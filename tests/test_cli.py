@@ -268,6 +268,58 @@ def test_precondition_violation_exits_3(capsys, tmp_path):
     assert body["kind"] == "liveness"
 
 
+def test_unreachable_unobservable_cycle_still_gets_a_verdict(capsys, tmp_path):
+    plant = {
+        "states": [0, 1, 2],
+        "observable": ["a"],
+        "unobservable": ["u"],
+        "faults": [],
+        "initial": [0],
+        "transitions": [
+            {"from": 0, "event": "a", "to": 0},
+            {"from": 1, "event": "u", "to": 2},
+            {"from": 2, "event": "u", "to": 1},
+        ],
+    }
+    path = tmp_path / "island.json"
+    path.write_text(json.dumps(plant))
+    code, out, _err = run_cli(capsys, "diagnose", "--plant", str(path), "--budget", "1")
+    assert code == 0
+    assert json.loads(out) == {"budget": 1, "diagnosable": True}
+
+
+def test_deletion_witness_shows_epsilon(capsys, tmp_path):
+    plant = {
+        "states": [0, 1, 2, 3, 4],
+        "observable": ["a", "b"],
+        "unobservable": ["f"],
+        "faults": ["f"],
+        "initial": [0],
+        "transitions": [
+            {"from": src, "event": event, "to": dst}
+            for (src, event, dst) in [
+                (0, "f", 1), (1, "a", 2), (2, "b", 3), (3, "a", 3), (0, "a", 4), (4, "a", 4),
+            ]
+        ],
+    }
+    plant_path = tmp_path / "plant.json"
+    plant_path.write_text(json.dumps(plant))
+    costs_path = tmp_path / "costs.json"
+    costs_path.write_text(json.dumps({"deletions": {"b": 1}}))
+    code, out, _err = run_cli(
+        capsys, "diagnose", "--plant", str(plant_path), "--attacks", str(costs_path),
+        "--budget", "1", "--witness",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["diagnosable"] is False
+    witness = payload["witness"]
+    assert "ε" in witness["left_run"] + witness["right_run"]
+    left_obs = [e for e in witness["left_run"] if e in {"a", "b"}]
+    right_obs = [e for e in witness["right_run"] if e in {"a", "b"}]
+    assert left_obs == right_obs
+
+
 def test_diagnose_and_cmin_write_dot_files(capsys, tmp_path):
     vf = tmp_path / "vf.dot"
     code, _out, _ = run_cli(

@@ -4,6 +4,7 @@ import pytest
 
 from tamperest.attacks import AttackModel
 from tamperest.automata import PlantNfa
+from tamperest.cmin import is_mismatched, minimum_defeating_budget, step_costs
 from tamperest.diagnoser import (
     FAULTY,
     NORMAL,
@@ -95,27 +96,6 @@ def test_cost_layers_are_cut_at_the_bound(defeatable_plant, defeatable_costs):
     assert all(spent <= 1 for (_s, spent) in costed.states)
 
 
-def test_dead_plant_is_rejected():
-    plant = plant_of([(0, "a", 1)], ("a",), (), ())
-    with pytest.raises(PreconditionError) as err:
-        build_costed_plant(plant, AttackModel.empty(), 2)
-    assert err.value.kind == "liveness"
-    assert err.value.witness == (1, 0)
-
-
-def test_unobservable_cycle_is_rejected():
-    plant = plant_of([(0, "u", 1), (1, "u", 0), (0, "a", 0), (1, "a", 1)], ("a",), ("u",), ())
-    with pytest.raises(PreconditionError) as err:
-        build_costed_plant(plant, AttackModel.empty(), 2)
-    assert err.value.kind == "unobservable-cycle"
-
-
-def test_assumption_checks_can_be_disabled():
-    plant = plant_of([(0, "a", 1)], ("a",), (), ())
-    costed = build_costed_plant(plant, AttackModel.empty(), 2, check_assumptions=False)
-    assert (1, 0) in costed.states
-
-
 def test_bound_must_be_positive(confusable_plant):
     with pytest.raises(ValidationError):
         build_costed_plant(confusable_plant, AttackModel.empty(), 0)
@@ -200,6 +180,21 @@ def test_no_fault_labels_means_no_cycle(estimation_plant):
 # -- verdicts ----------------------------------------------------------------------------
 
 
+def test_dead_plant_is_rejected():
+    plant = plant_of([(0, "a", 1)], ("a",), (), ())
+    with pytest.raises(PreconditionError) as err:
+        verify_diagnosability(plant, AttackModel.empty(), budget=2)
+    assert err.value.kind == "liveness"
+    assert err.value.witness == 1
+
+
+def test_unobservable_cycle_is_rejected():
+    plant = plant_of([(0, "u", 1), (1, "u", 0), (0, "a", 0), (1, "a", 1)], ("a",), ("u",), ())
+    with pytest.raises(PreconditionError) as err:
+        verify_diagnosability(plant, AttackModel.empty(), budget=2)
+    assert err.value.kind == "unobservable-cycle"
+
+
 def test_published_verdicts(diagnosable_plant, diagnosable_costs, defeatable_plant, defeatable_costs):
     assert verify_diagnosability(diagnosable_plant, diagnosable_costs, budget=4).diagnosable
     assert not verify_diagnosability(defeatable_plant, defeatable_costs, budget=2).diagnosable
@@ -218,7 +213,7 @@ def test_deletion_attack_defeats_a_distinguishing_symbol():
     )
     assert verify_diagnosability(plant, AttackModel.empty(), budget=0).diagnosable
     deleting = AttackModel({"b": 1}, {}, {})
-    assert not verify_diagnosability(plant, deleting, budget=0).diagnosable
+    assert not verify_diagnosability(plant, deleting, budget=1).diagnosable
 
 
 def test_insertion_attack_fakes_a_missing_symbol():
@@ -230,7 +225,7 @@ def test_insertion_attack_fakes_a_missing_symbol():
     )
     assert verify_diagnosability(plant, AttackModel.empty(), budget=0).diagnosable
     inserting = AttackModel({}, {"b": 1}, {})
-    assert not verify_diagnosability(plant, inserting, budget=0).diagnosable
+    assert not verify_diagnosability(plant, inserting, budget=1).diagnosable
 
 
 def test_non_diagnosable_is_monotone_in_budget(defeatable_plant, defeatable_costs):
@@ -257,7 +252,7 @@ def test_witness_runs_have_equal_projections_and_split_fault(defeatable_plant, d
     observable = defeatable_plant.observable
 
     def projection(run):
-        return [e for e in run if not isinstance(e, DeletionMarker) and e in observable]
+        return [e for e in run if e in observable]
 
     assert projection(witness.left_run) == projection(witness.right_run)
     left_faulty = any(e in defeatable_plant.faults for e in witness.left_run)
@@ -295,21 +290,69 @@ def test_classical_verdicts_agree_with_the_oracle_on_random_plants():
         assert got == expected
 
 
-def test_attacked_verdicts_agree_with_the_oracle_on_random_plants():
-    rng = random.Random(101)
-    for _ in range(40):
+def _attacked_instances(seed, positive=10, others=40):
+    """Seeded live attacked plants with their minimum defeating budgets.
+
+    Yields the first `others` plants whose budget is 0 or None, and draws on
+    until `positive` plants with a positive budget have come up, since the
+    random family rarely has one.
+    """
+    rng = random.Random(seed)
+    while positive or others:
         plant = random_plant(
             rng,
-            max_states=4,
+            max_states=5,
             allow_unobservable_cycles=False,
             ensure_live=True,
             with_fault=True,
         )
-        model = random_attack_model(rng, max_cost=2, p_del=0.2, p_ins=0.2, p_sub=0.2)
-        budget = rng.randint(0, 2)
-        got = verify_diagnosability(plant, model, budget=budget).diagnosable
-        expected = brute_force_diagnosable(plant, model, budget=budget)
-        assert got == expected
+        model = random_attack_model(rng, max_cost=3, p_del=0.3, p_ins=0.3, p_sub=0.25)
+        cmin = minimum_defeating_budget(plant, model)
+        if cmin and positive:
+            positive -= 1
+        elif not cmin and others:
+            others -= 1
+        else:
+            continue
+        yield plant, model, cmin
+
+
+def test_attacked_verdicts_agree_with_the_oracle_on_random_plants():
+    """diagnose(C), cmin and the oracle give one verdict for every C in 0..5."""
+    for plant, model, cmin in _attacked_instances(101):
+        for budget in range(6):
+            got = verify_diagnosability(plant, model, budget=budget).diagnosable
+            assert got == (cmin is None or budget < cmin)
+            assert got == brute_force_diagnosable(plant, model, budget=budget)
+
+
+def test_witness_attack_fits_the_budget_and_cycle_is_free(defeatable_plant, defeatable_costs):
+    cases = [(defeatable_plant, defeatable_costs, 2, 2), (defeatable_plant, defeatable_costs, 2, 4)]
+    cases += [
+        (p, m, c, 5) for (p, m, c) in _attacked_instances(131, others=10) if c is not None and c <= 5
+    ]
+    for plant, model, cmin, budget in cases:
+        result = verify_diagnosability(plant, model, budget=budget, want_witness=True)
+        access, cycle = result.witness.access, result.witness.cycle
+        assert access[0][0] in result.verifier.initial
+        steps = access + cycle
+        for (before, after) in zip(steps, steps[1:]):
+            assert before[3] == after[0]
+        spent = (sum(step_costs(s).left for s in access), sum(step_costs(s).right for s in access))
+        assert max(spent) == cmin <= budget
+        assert cycle[-1][3] == cycle[0][0] == access[-1][3]
+        for step in cycle:
+            assert step_costs(step) == (0, 0)
+            assert is_mismatched(step[0]) and is_mismatched(step[3])
+
+
+def test_layered_reference_agrees_with_diagnose():
+    for plant, model, _cmin in _attacked_instances(137, positive=5, others=20):
+        for budget in range(1, 5):
+            reference = build_twin_verifier(build_costed_plant(plant, model, budget), plant.faults)
+            assert (find_confused_cycle(reference) is None) == verify_diagnosability(
+                plant, model, budget=budget
+            ).diagnosable
 
 
 def test_faults_must_be_unobservable(estimation_plant, empty_model):

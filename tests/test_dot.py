@@ -1,8 +1,6 @@
 from tamperest import dot
-from tamperest.attacks import AttackModel
 from tamperest.automata import build_observer
 from tamperest.cmin import build_corrupted_automaton, build_costed_twin_verifier
-from tamperest.diagnoser import build_costed_plant, build_twin_verifier
 from tamperest.estimator import build_product, reduce_product
 from tamperest.matching import build_costed_matching_dfa
 
@@ -44,14 +42,6 @@ def test_product_dot_runs(estimation_plant, estimation_costs):
     assert "rank=same" in text
 
 
-def test_twin_verifier_dot_marks_mismatched_states(defeatable_plant, defeatable_costs):
-    costed = build_costed_plant(defeatable_plant, defeatable_costs, 3)
-    verifier = build_twin_verifier(costed, defeatable_plant.faults)
-    text = dot.twin_verifier_to_dot(verifier)
-    assert "lightyellow" in text
-    assert text == dot.twin_verifier_to_dot(verifier)
-
-
 def test_costed_twin_verifier_dot_shows_cost_pairs(defeatable_plant, defeatable_costs):
     corrupted = build_corrupted_automaton(defeatable_plant, defeatable_costs)
     verifier = build_costed_twin_verifier(corrupted, defeatable_plant.faults)
@@ -59,20 +49,3 @@ def test_costed_twin_verifier_dot_shows_cost_pairs(defeatable_plant, defeatable_
     assert "((γ,1),(γ,0))" in text
     assert text == dot.costed_twin_verifier_to_dot(verifier)
 
-
-def test_deletion_markers_render_dashed():
-    from tamperest.automata import PlantNfa
-
-    plant = PlantNfa(
-        states=frozenset({0, 1}),
-        observable=frozenset({"a", "b"}),
-        unobservable=frozenset(),
-        faults=frozenset(),
-        transitions=frozenset({(0, "a", 1), (1, "b", 1)}),
-        initial=frozenset({0}),
-    )
-    costed = build_costed_plant(plant, AttackModel({"a": 1}, {}, {}), 2)
-    verifier = build_twin_verifier(costed, frozenset())
-    text = dot.twin_verifier_to_dot(verifier)
-    assert "del(a)" in text
-    assert "style=dashed" in text
