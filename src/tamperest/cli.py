@@ -19,7 +19,7 @@ import sys
 from . import dot
 from .attacks import AttackModel, label_to_dict, load_model, render_labels
 from .automata import build_observer, load_plant, sort_key
-from .cmin import analyze_minimum_budget
+from .cmin import analyze_minimum_budget, build_corrupted_automaton, build_costed_twin_verifier
 from .diagnoser import side_run, verify_diagnosability
 from .errors import ConfigurationError, PreconditionError, ValidationError
 from .estimator import estimate_least_cost
@@ -136,6 +136,25 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+def _witness_payload(access, cycle) -> dict:
+    """Both runs of an attack into confusion plus its cost-free cycle, and the cycle alone."""
+    steps = access + cycle
+    return {
+        "left_run": list(side_run(steps, "L")),
+        "right_run": list(side_run(steps, "R")),
+        "cycle": {"left": list(side_run(cycle, "L")), "right": list(side_run(cycle, "R"))},
+    }
+
+
+def _write_verifier_dot(path, plant, model, faults, name: str, budget=None):
+    """Build the reference costed twin verifier, only for DOT export."""
+    faults = plant.faults if faults is None else faults
+    verifier = build_costed_twin_verifier(
+        build_corrupted_automaton(plant, model), faults, budget=budget
+    )
+    _write_dot(path, dot.costed_twin_verifier_to_dot(verifier, name=name))
+
+
 def _cmd_diagnose(args) -> int:
     plant, model, faults = _load_inputs(args)
     result = verify_diagnosability(
@@ -143,31 +162,25 @@ def _cmd_diagnose(args) -> int:
     )
     payload = {"budget": args.budget, "diagnosable": result.diagnosable}
     if args.witness and result.witness is not None:
-        witness = result.witness
-        payload["witness"] = {
-            "left_run": list(witness.left_run),
-            "right_run": list(witness.right_run),
-            "cycle": {
-                "left": list(side_run(witness.cycle, "L")),
-                "right": list(side_run(witness.cycle, "R")),
-            },
-        }
+        payload["witness"] = _witness_payload(result.witness.access, result.witness.cycle)
     _emit(payload)
     if args.dot:
-        _write_dot(args.dot, dot.costed_twin_verifier_to_dot(result.verifier, name="verifier"))
+        _write_verifier_dot(args.dot, plant, model, faults, "verifier", budget=args.budget)
     return EXIT_OK
 
 
 def _cmd_cmin(args) -> int:
     plant, model, faults = _load_inputs(args)
-    result = analyze_minimum_budget(plant, model, faults=faults)
+    result = analyze_minimum_budget(plant, model, faults=faults, want_witness=args.witness)
     if result.value is None:
         payload = {"cmin": None, "reason": "no cost-free confusion cycle"}
     else:
         payload = {"cmin": result.value}
+        if args.witness:
+            payload["witness"] = _witness_payload(result.witness, result.cycle)
     _emit(payload)
     if args.dot:
-        _write_dot(args.dot, dot.costed_twin_verifier_to_dot(result.verifier))
+        _write_verifier_dot(args.dot, plant, model, faults, "twin")
     return EXIT_OK
 
 
@@ -226,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cmin", help="minimum attack budget that defeats diagnosis forever")
     common(p, attacks=True, faults=True)
+    p.add_argument("--witness", action="store_true", help="include the cheapest defeating attack")
     p.add_argument("--dot", help="write the costed twin verifier to this DOT file")
     p.set_defaults(func=_cmd_cmin)
 

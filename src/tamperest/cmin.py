@@ -5,18 +5,37 @@ an ``(event, cost)`` pair: original moves cost zero, attacker actions carry
 their exact positive cost, and a deletion shows up as an empty observed
 event.  A twin verifier over this automaton synchronises two runs on the
 *observed* symbol while letting each side pay its own cost.  The attacker
-wins forever from any state that sits on a cost-free cycle whose label pair
-stays mismatched; the cheapest way in, measured as the larger of the two
-side costs, is the minimum defeating budget.  A label-correcting search with
-Pareto (antichain) cost pairs computes it.
+wins forever from any *ending* state: a mismatched state on a cost-free
+cycle whose label pair stays mismatched.  The cheapest way in, measured as
+the larger of the two side costs, is the minimum defeating budget.
+
+`analyze_minimum_budget` computes it without building the verifier.  Per
+call, it numbers plant states (in `sort_key` order) and plant events
+(sorted) densely, tabulates each state's moves once, and encodes a twin
+state as one int.  It then generates successors on demand and runs a
+bi-objective label-setting search (Martins, EJOR 1984; Sedeño-Noda &
+Colebrook, EJOR 2019) over cost pairs ``(left, right)``, popping labels in
+``(max, sum)`` order.  A label that dominates another never pops later, so
+every label that survives the dominance test on pop is final, and the first
+one at an ending state carries the answer.  Whether a state is ending is
+decided on demand, by one Tarjan pass per unexplored region of the
+cost-free mismatched subgraph.  Unobservable events move one side at a
+time: a joint move equals a left move followed by a right move at zero
+cost, so leaving it out changes neither reachability nor cost-free cycles.
 
 The same search decides diagnosability at a budget C: given ``budget=C`` it
 explores only attacks that cost each side at most C, so it finds a value
 exactly when the minimum defeating budget is at most C.
+
+The explicit constructions below the engine (`build_corrupted_automaton`,
+`build_costed_twin_verifier`, `find_free_confusion_states`,
+`propagate_cost_labels`) are reference code: the tests check the engine
+against them, and ``--dot`` renders the verifier they build.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -52,6 +71,279 @@ class CostPair(NamedTuple):
     @property
     def total(self) -> int:
         return max(self.left, self.right)
+
+
+@dataclass(frozen=True)
+class CminResult:
+    """Outcome of the minimum-defeating-budget analysis.
+
+    With a witness requested and a value found, `witness` holds the steps
+    of the cheapest attack from an initial pair into an ending state and
+    `cycle` the steps of a cost-free mismatched cycle from that state back
+    to it, both as ``(src, ((sym, c_left), (sym, c_right)), side, dst)``
+    over ``(x, l1, y, l2)`` states.
+    """
+
+    value: Optional[int]
+    witness: Optional[tuple] = field(default=None, compare=False)
+    cycle: Optional[tuple] = field(default=None, compare=False)
+
+    @property
+    def defeatable(self) -> bool:
+        return self.value is not None
+
+
+def analyze_minimum_budget(
+    plant: PlantNfa,
+    model: AttackModel,
+    faults: Optional[frozenset] = None,
+    want_witness: bool = False,
+    budget: Optional[int] = None,
+) -> CminResult:
+    """Label-setting search for the minimum defeating budget.
+
+    The result is the smallest ``max(left, right)`` over all cost labels at
+    states that can sustain mismatched fault labels for free; None when no
+    such state exists.  With a `budget`, only attacks costing each side at
+    most `budget` are explored, so the value is None unless the minimum is
+    at most `budget`.
+    """
+    faults = frozenset(plant.faults if faults is None else faults)
+    model.validate_against(plant)
+    if not faults <= plant.unobservable:
+        raise ValidationError("fault events must be unobservable plant events")
+    twin = _LazyTwin(plant, model, faults, budget)
+    label = twin.cheapest_ending_label()
+    if label is None:
+        return CminResult(value=None)
+    code, left, right, _parent = twin.labels[label]
+    if not want_witness:
+        return CminResult(value=max(left, right))
+    return CminResult(
+        value=max(left, right), witness=twin.access_steps(label), cycle=twin.cycle_steps(code)
+    )
+
+
+#: Label bit of one side of an interned twin state; bit order is label order.
+_LABELS = (FAULTY, NORMAL)
+_FAULTY_BIT, _NORMAL_BIT = 0, 1
+
+
+class _LazyTwin:
+    """The costed twin verifier over dense ints, explored on demand.
+
+    Plant state ``x`` is ``states[x]`` and event ``e`` is ``symbols[e]``,
+    with `EPSILON` as event 0.  A twin state ``(x, l1, y, l2)`` is the int
+    ``(2x + b1) * width + 2y + b2``, where ``b`` is the index of the label
+    in `_LABELS`; int order is therefore the canonical state order.
+    """
+
+    def __init__(self, plant: PlantNfa, model: AttackModel, faults: frozenset, budget):
+        self.states = sorted(plant.states, key=sort_key)
+        self.symbols = [EPSILON] + sorted(plant.alphabet)
+        self.width = 2 * len(self.states)
+        self.budget = float("inf") if budget is None else budget
+        index = {state: x for x, state in enumerate(self.states)}
+        event = {symbol: e for e, symbol in enumerate(self.symbols)}
+        silent_events = [e for e, symbol in enumerate(self.symbols) if symbol in plant.unobservable]
+        #: per state, observed event -> ((cost, targets), ...) by cost; event 0
+        #: (deletions) always starts with the zero-cost stay
+        self.observed = []
+        #: per state, ((event, is_fault, targets), ...) for unobservable events
+        self.silent = []
+        for x, state in enumerate(self.states):
+            buckets: dict = {(0, 0): {x}}
+
+            def add(e, cost, targets):
+                if targets:
+                    buckets.setdefault((e, cost), set()).update(index[t] for t in targets)
+
+            for symbol in plant.observable:
+                add(event[symbol], 0, plant.successors(state, symbol))
+            for symbol, cost in model.deletions.items():
+                add(0, cost, plant.successors(state, symbol))
+            for symbol, cost in model.insertions.items():
+                add(event[symbol], cost, (state,))
+            for (original, observed), cost in model.substitutions.items():
+                add(event[observed], cost, plant.successors(state, original))
+            table: dict = {}
+            for (e, cost) in sorted(buckets):
+                table.setdefault(e, []).append((cost, tuple(sorted(buckets[(e, cost)]))))
+            self.observed.append({e: tuple(moves) for e, moves in table.items()})
+            silent = []
+            for e in silent_events:
+                targets = plant.successors(state, self.symbols[e])
+                if targets:
+                    targets = tuple(sorted(index[t] for t in targets))
+                    silent.append((e, self.symbols[e] in faults, targets))
+            self.silent.append(tuple(silent))
+        self.initial = sorted(
+            (2 * index[x] + _NORMAL_BIT) * self.width + 2 * index[y] + _NORMAL_BIT
+            for x in plant.initial
+            for y in plant.initial
+        )
+        self.labels = []  # settled labels: (state, left, right, parent label or -1)
+        self._free: dict = {}
+        self._component: dict = {}  # state -> its cyclic free component, or None
+
+    def mismatched(self, code: int) -> bool:
+        return (code // self.width ^ code) & 1 == 1
+
+    def steps(self, code: int, budget):
+        """Outgoing moves costing each side at most `budget`.
+
+        Yields ``(event, side, c_left, c_right, dsts)``, one per event, side
+        and cost pair.
+        """
+        width = self.width
+        a, b = divmod(code, width)
+        x, b1 = divmod(a, 2)
+        y, b2 = divmod(b, 2)
+        rights_by_event = self.observed[y]
+        for e, lefts in self.observed[x].items():
+            rights = rights_by_event.get(e)
+            if rights is None:
+                continue
+            for c_left, left_targets in lefts:
+                if c_left > budget:
+                    break
+                for c_right, right_targets in rights:
+                    if c_right > budget:
+                        break
+                    if e == 0:
+                        if not (c_left or c_right):
+                            continue
+                        side = "LR" if c_left and c_right else ("L" if c_left else "R")
+                    else:
+                        side = "LR"
+                    yield e, side, c_left, c_right, [
+                        (2 * lt + b1) * width + 2 * rt + b2
+                        for lt in left_targets
+                        for rt in right_targets
+                    ]
+        for e, fault, targets in self.silent[x]:
+            label = _FAULTY_BIT if fault else b1
+            yield e, "L", 0, 0, [(2 * lt + label) * width + b for lt in targets]
+        for e, fault, targets in self.silent[y]:
+            label = _FAULTY_BIT if fault else b2
+            yield e, "R", 0, 0, [a * width + 2 * rt + label for rt in targets]
+
+    def successors(self, code: int):
+        """:meth:`steps` within the budget, merged into ``(c_left, c_right): dsts`` items."""
+        merged: dict = {}
+        for _e, _side, c_left, c_right, dsts in self.steps(code, self.budget):
+            merged.setdefault((c_left, c_right), []).extend(dsts)
+        return merged.items()
+
+    def free_successors(self, code: int) -> tuple:
+        """Distinct mismatched states one cost-free step away, memoized."""
+        free = self._free.get(code)
+        if free is None:
+            free = tuple(dict.fromkeys(
+                dst
+                for (_e, _side, _c_left, _c_right, dsts) in self.steps(code, 0)
+                for dst in dsts
+                if self.mismatched(dst)
+            ))
+            self._free[code] = free
+        return free
+
+    def is_ending(self, code: int) -> bool:
+        """Mismatched and on a cost-free mismatched cycle."""
+        if not self.mismatched(code):
+            return False
+        if code not in self._component:
+            known = self._component
+
+            # a classified state's component is complete, so it cannot join a new one
+            def fresh(q):
+                return [dst for dst in self.free_successors(q) if dst not in known]
+
+            for component in strongly_connected_components([code], fresh):
+                head = component[0]
+                cyclic = len(component) > 1 or head in self.free_successors(head)
+                for q in component:
+                    known[q] = component if cyclic else None
+        return self._component[code] is not None
+
+    def cheapest_ending_label(self) -> Optional[int]:
+        """Index in `labels` of the first settled label at an ending state.
+
+        The heap holds ``(max, sum, state, left, right, parent)``; ties on
+        the cost key go to the canonically first state.  A candidate that a
+        label already pushed to its state dominates or equals is dropped: the
+        pushed one pops first, and then it or a label dominating it settles.
+        """
+        budget = self.budget
+        pushed: dict = {code: [(0, 0)] for code in self.initial}  # state -> pushed (left, right)
+        settled: dict = {}  # state -> settled (left, right)
+        heap = [(0, 0, code, 0, 0, -1) for code in self.initial]
+        while heap:
+            _top, _sum, code, left, right, parent = heapq.heappop(heap)
+            front = settled.setdefault(code, [])
+            if any(l <= left and r <= right for (l, r) in front):
+                continue
+            front.append((left, right))
+            label = len(self.labels)
+            self.labels.append((code, left, right, parent))
+            if self.is_ending(code):
+                return label
+            for (c_left, c_right), dsts in self.successors(code):
+                new_left, new_right = left + c_left, right + c_right
+                top = max(new_left, new_right)
+                if top > budget:
+                    continue
+                total = new_left + new_right
+                for dst in dsts:
+                    known = pushed.setdefault(dst, [])
+                    if any(l <= new_left and r <= new_right for (l, r) in known):
+                        continue
+                    known.append((new_left, new_right))
+                    heapq.heappush(heap, (top, total, dst, new_left, new_right, label))
+        return None
+
+    def render(self, code: int) -> tuple:
+        a, b = divmod(code, self.width)
+        return (self.states[a >> 1], _LABELS[a & 1], self.states[b >> 1], _LABELS[b & 1])
+
+    def step(self, src: int, dst: int, c_left: int, c_right: int) -> tuple:
+        """The canonical-first step from `src` to `dst` with these costs."""
+        e, side = min(
+            (e, side)
+            for (e, side, cl, cr, dsts) in self.steps(src, max(c_left, c_right))
+            if cl == c_left and cr == c_right and dst in dsts
+        )
+        symbol = self.symbols[e]
+        return (self.render(src), ((symbol, c_left), (symbol, c_right)), side, self.render(dst))
+
+    def access_steps(self, label: int) -> tuple:
+        """Steps from an initial pair to the settled `label`."""
+        steps = []
+        code, left, right, parent = self.labels[label]
+        while parent >= 0:
+            src, src_left, src_right, grand = self.labels[parent]
+            steps.append(self.step(src, code, left - src_left, right - src_right))
+            code, left, right, parent = src, src_left, src_right, grand
+        steps.reverse()
+        return tuple(steps)
+
+    def cycle_steps(self, code: int) -> tuple:
+        """Steps of a cost-free mismatched cycle from the ending state `code` back to it."""
+        component = self._component[code]
+        nodes = cycle_within(
+            [code] + [q for q in component if q != code], self.free_successors
+        )
+        return tuple(self.step(a, b, 0, 0) for a, b in zip(nodes, nodes[1:]))
+
+
+def minimum_defeating_budget(
+    plant: PlantNfa, model: AttackModel, faults: Optional[frozenset] = None
+) -> Optional[int]:
+    """Smallest total attack cost that keeps diagnosis confused forever; None if impossible."""
+    return analyze_minimum_budget(plant, model, faults).value
+
+
+# -- reference and DOT export: the explicit costed twin verifier --------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +493,8 @@ def build_costed_twin_verifier(
                 for rt in right_targets:
                     emit(src, tau, "LR", (lt, new_l1, rt, new_l2))
 
-    assert len(states) <= 4 * len(plant.states) ** 2, "twin verifier exceeded 4|X|^2 states"
+    if len(states) > 4 * len(plant.states) ** 2:
+        raise RuntimeError("twin verifier exceeded 4|X|^2 states")
     return CostedTwinVerifier(
         source=corrupted,
         faults=faults,
@@ -230,20 +523,6 @@ def find_free_confusion_states(verifier: CostedTwinVerifier):
     Returns ``(states, cycles)`` where `cycles` holds one witness state
     sequence per strongly connected component that contains such a cycle.
     """
-    mismatched, successors = _free_mismatched_graph(verifier)
-    components = strongly_connected_components(mismatched, successors)
-    anchored = frozenset()
-    cycles = []
-    for component in components:
-        if len(component) > 1 or component[0] in successors(component[0]):
-            anchored |= frozenset(component)
-            cycles.append(tuple(cycle_within(component, successors)))
-    cycles.sort(key=lambda nodes: _vstate_sort_key(nodes[0]))
-    return anchored, cycles
-
-
-def _free_mismatched_graph(verifier: CostedTwinVerifier):
-    """Mismatched states in canonical order, and their cost-free successors among them."""
     mismatched = sorted(
         (q for q in verifier.states if is_mismatched(q)), key=_vstate_sort_key
     )
@@ -256,24 +535,15 @@ def _free_mismatched_graph(verifier: CostedTwinVerifier):
             if step[3] in members and step_costs(step) == (0, 0)
         ]
 
-    return mismatched, successors
-
-
-def free_confusion_cycle(verifier: CostedTwinVerifier, start) -> tuple:
-    """Steps of a cost-free cycle from `start` back to it through mismatched states.
-
-    `start` must be one of the states :func:`find_free_confusion_states`
-    returns.
-    """
-    mismatched, successors = _free_mismatched_graph(verifier)
-    component = next(
-        c for c in strongly_connected_components(mismatched, successors) if start in c
-    )
-    nodes = cycle_within([start] + [q for q in component if q != start], successors)
-    return tuple(
-        next(s for s in verifier.outgoing(a) if s[3] == b and step_costs(s) == (0, 0))
-        for a, b in zip(nodes, nodes[1:])
-    )
+    components = strongly_connected_components(mismatched, successors)
+    anchored = frozenset()
+    cycles = []
+    for component in components:
+        if len(component) > 1 or component[0] in successors(component[0]):
+            anchored |= frozenset(component)
+            cycles.append(tuple(cycle_within(component, successors)))
+    cycles.sort(key=lambda nodes: _vstate_sort_key(nodes[0]))
+    return anchored, cycles
 
 
 def pareto_update(pairs, candidate):
@@ -297,29 +567,16 @@ def pareto_update(pairs, candidate):
     return frozenset(kept), True
 
 
-@dataclass(frozen=True)
-class CminResult:
-    """Outcome of the minimum-defeating-budget analysis."""
-
-    value: Optional[int]
-    ending_states: frozenset
-    labels: Mapping
-    verifier: CostedTwinVerifier = field(compare=False, repr=False, default=None)
-    witness: Optional[tuple] = field(default=None, compare=False)
-
-    @property
-    def defeatable(self) -> bool:
-        return self.value is not None
-
-
 def propagate_cost_labels(verifier: CostedTwinVerifier, budget: Optional[int] = None):
-    """Label-correcting propagation of Pareto cost-pair antichains.
+    """Label-correcting propagation of Pareto cost-pair antichains (reference).
 
-    Initial states start at ``{(0, 0)}``; a state is re-enqueued whenever its
-    antichain changes (max-of-sums does not admit a label-setting order).
-    Termination: a lap around any cycle either repeats a pair (dropped as a
-    duplicate) or is dominated by the pair recorded before the lap.  With a
-    `budget`, pairs whose larger side exceeds it are dropped.
+    The production search is the label-setting one of
+    :func:`analyze_minimum_budget`; this FIFO version labels the whole
+    verifier, and the tests check the engine against it.  Initial states
+    start at ``{(0, 0)}``; a state is re-enqueued whenever its antichain
+    changes.  Termination: a lap around any cycle either repeats a pair
+    (dropped as a duplicate) or is dominated by the pair recorded before the
+    lap.  With a `budget`, pairs whose larger side exceeds it are dropped.
 
     Returns ``(labels, parents)`` where `parents` maps each inserted
     ``(state, pair)`` to the ``(state, pair, step)`` that produced it.
@@ -365,66 +622,7 @@ def propagate_cost_labels(verifier: CostedTwinVerifier, budget: Optional[int] = 
                 labels[dst] = updated
                 parents[(dst, candidate)] = (q, pair, step)
                 touches += 1
-                assert touches <= touch_cap, "label-correcting search exceeded its touch bound"
+                if touches > touch_cap:
+                    raise RuntimeError("label-correcting search exceeded its touch bound")
                 queue.append((dst, candidate))
     return labels, parents
-
-
-def analyze_minimum_budget(
-    plant: PlantNfa,
-    model: AttackModel,
-    faults: Optional[frozenset] = None,
-    want_witness: bool = False,
-    budget: Optional[int] = None,
-) -> CminResult:
-    """Pareto label-correcting search for the minimum defeating budget.
-
-    The result is the smallest ``max(left, right)`` over all cost labels at
-    states that can sustain mismatched fault labels for free; None when no
-    such state exists.  With a `budget`, only attacks costing each side at
-    most `budget` are explored, so the value is None unless the minimum is
-    at most `budget`.
-    """
-    faults = frozenset(plant.faults if faults is None else faults)
-    corrupted = build_corrupted_automaton(plant, model)
-    verifier = build_costed_twin_verifier(corrupted, faults, budget=budget)
-    ending, _cycles = find_free_confusion_states(verifier)
-    if not ending:
-        return CminResult(value=None, ending_states=frozenset(), labels={}, verifier=verifier)
-
-    labels, parents = propagate_cost_labels(verifier, budget=budget)
-    best = None
-    best_key = None
-    for q in sorted(ending, key=_vstate_sort_key):
-        for pair in sorted(labels[q]):
-            value = max(pair)
-            if best is None or value < best:
-                best = value
-                best_key = (q, pair)
-    witness = None
-    if want_witness and best_key is not None:
-        witness = _witness_path(parents, best_key)
-    return CminResult(
-        value=best,
-        ending_states=ending,
-        labels={q: labels[q] for q in verifier.states if labels[q]},
-        verifier=verifier,
-        witness=witness,
-    )
-
-
-def _witness_path(parents: dict, key) -> tuple:
-    steps = []
-    while key in parents:
-        prev_q, prev_pair, step = parents[key]
-        steps.append(step)
-        key = (prev_q, prev_pair)
-    steps.reverse()
-    return tuple(steps)
-
-
-def minimum_defeating_budget(
-    plant: PlantNfa, model: AttackModel, faults: Optional[frozenset] = None
-) -> Optional[int]:
-    """Smallest total attack cost that keeps diagnosis confused forever; None if impossible."""
-    return analyze_minimum_budget(plant, model, faults).value

@@ -22,15 +22,7 @@ from typing import Optional, Sequence
 
 from .attacks import AttackModel, check_budget
 from .automata import PlantNfa, dead_reachable_state, sort_key, unobservable_cycle
-from .cmin import (
-    FAULTY,
-    NORMAL,
-    CostedTwinVerifier,
-    analyze_minimum_budget,
-    free_confusion_cycle,
-    is_mismatched,
-    render_symbol,
-)
+from .cmin import FAULTY, NORMAL, analyze_minimum_budget, is_mismatched, render_symbol
 from .errors import PreconditionError, ValidationError
 from .scc import cycle_within, strongly_connected_components
 
@@ -227,7 +219,8 @@ def build_twin_verifier(costed: CostedPlant, faults: frozenset) -> TwinVerifier:
 
     plant_size = len(costed.plant.states)
     cap = (2 * plant_size * (costed.bound + 1)) ** 2
-    assert len(states) <= cap, "verifier grew beyond its (2|X|(B+1))^2 state bound"
+    if len(states) > cap:
+        raise RuntimeError("verifier grew beyond its (2|X|(B+1))^2 state bound")
     return TwinVerifier(
         source=costed,
         faults=faults,
@@ -259,7 +252,8 @@ def find_confused_cycle(verifier: TwinVerifier) -> Optional[ConfusedCycle]:
     for component in components:
         if len(component) > 1 or component[0] in successors(component[0]):
             # fault labels are absorbing, so labels cannot vary inside an SCC
-            assert len({(q[1], q[3]) for q in component}) == 1
+            if len({(q[1], q[3]) for q in component}) != 1:
+                raise RuntimeError("fault labels vary inside a verifier component")
             cyclic.append(component)
     if not cyclic:
         return None
@@ -323,7 +317,6 @@ class DiagnosisResult:
     diagnosable: bool
     budget: int
     witness: Optional[DiagnosisWitness] = None
-    verifier: Optional[CostedTwinVerifier] = field(default=None, compare=False, repr=False)
 
 
 def side_run(steps: Sequence, side: str) -> tuple:
@@ -371,20 +364,15 @@ def verify_diagnosability(
         plant, model, faults, want_witness=want_witness, budget=budget
     )
     if not found.defeatable:
-        return DiagnosisResult(diagnosable=True, budget=budget, verifier=found.verifier)
+        return DiagnosisResult(diagnosable=True, budget=budget)
     witness = None
     if want_witness:
-        # initial states are never mismatched, so the access path is not empty
-        cycle = free_confusion_cycle(found.verifier, found.witness[-1][3])
-        steps = found.witness + cycle
+        steps = found.witness + found.cycle
         left_run, right_run = side_run(steps, "L"), side_run(steps, "R")
         observable = plant.observable
-        assert [e for e in left_run if e in observable] == [
-            e for e in right_run if e in observable
-        ], "verifier runs must agree on observations"
+        if [e for e in left_run if e in observable] != [e for e in right_run if e in observable]:
+            raise RuntimeError("verifier runs must agree on observations")
         witness = DiagnosisWitness(
-            access=found.witness, cycle=cycle, left_run=left_run, right_run=right_run
+            access=found.witness, cycle=found.cycle, left_run=left_run, right_run=right_run
         )
-    return DiagnosisResult(
-        diagnosable=False, budget=budget, witness=witness, verifier=found.verifier
-    )
+    return DiagnosisResult(diagnosable=False, budget=budget, witness=witness)

@@ -108,7 +108,8 @@ def build_product(plant: PlantNfa, dfa: CostedMatchingDfa) -> ProductAutomaton:
                     states.add(dst)
                     queue.append(dst)
     size_cap = len(plant.states) * (dfa.final_stage + 1) * (dfa.bound + 1)
-    assert len(states) <= size_cap, "product grew beyond |X|*(m+1)*(B+1) states"
+    if len(states) > size_cap:
+        raise RuntimeError("product grew beyond |X|*(m+1)*(B+1) states")
     return ProductAutomaton(
         plant=plant,
         dfa=dfa,

@@ -6,16 +6,15 @@ from typing import Callable, Hashable, Iterable, List
 
 
 def strongly_connected_components(
-    nodes: Iterable[Hashable], successors: Callable[[Hashable], Iterable[Hashable]]
+    roots: Iterable[Hashable], successors: Callable[[Hashable], Iterable[Hashable]]
 ) -> List[list]:
-    """SCCs of the graph induced by `successors`, restricted to `nodes`.
+    """SCCs of every node reachable from `roots` through `successors`.
 
-    Successor nodes outside `nodes` are ignored.  Components come out in
-    reverse topological order; node order inside a component follows the
-    traversal.
+    No node set is fixed in advance: the graph is explored on demand, so a
+    caller restricts it by filtering what `successors` returns.  Components
+    come out in reverse topological order; node order inside a component
+    follows the traversal.
     """
-    nodes = list(nodes)
-    node_set = set(nodes)
     index: dict = {}
     lowlink: dict = {}
     on_stack: set = set()
@@ -23,10 +22,10 @@ def strongly_connected_components(
     components: List[list] = []
     counter = 0
 
-    for root in nodes:
+    for root in roots:
         if root in index:
             continue
-        work = [(root, iter([n for n in successors(root) if n in node_set]))]
+        work = [(root, iter(successors(root)))]
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
@@ -40,7 +39,7 @@ def strongly_connected_components(
                     counter += 1
                     stack.append(nxt)
                     on_stack.add(nxt)
-                    work.append((nxt, iter([n for n in successors(nxt) if n in node_set])))
+                    work.append((nxt, iter(successors(nxt))))
                     advanced = True
                     break
                 if nxt in on_stack:

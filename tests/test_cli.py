@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import tamperest
 from tamperest import fixtures
 from tamperest.cli import main
 
@@ -180,6 +183,26 @@ def test_cmin_on_fixtures(capsys):
     assert json.loads(out) == {"cmin": 0}
 
 
+def test_cmin_witness(capsys):
+    argv = ("cmin", "--plant", DEFE_PLANT, "--attacks", DEFE_COSTS)
+    _code, plain, _ = run_cli(capsys, *argv)
+    code, out, _ = run_cli(capsys, *argv, "--witness")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["cmin"] == 2
+    witness = payload.pop("witness")
+    assert payload == json.loads(plain)
+    assert witness["cycle"]["left"] and witness["cycle"]["right"]
+    left_obs = [e for e in witness["left_run"] if e in {"α", "β", "γ", "ζ"}]
+    right_obs = [e for e in witness["right_run"] if e in {"α", "β", "γ", "ζ"}]
+    assert left_obs == right_obs
+    assert ("σf" in witness["left_run"]) != ("σf" in witness["right_run"])
+    # no defeating attack, no witness
+    code, out, _ = run_cli(capsys, "cmin", "--plant", DIAG_PLANT, "--attacks", DIAG_COSTS, "--witness")
+    assert code == 0
+    assert "witness" not in json.loads(out)
+
+
 def test_empty_observation_estimates_the_initial_closure(capsys):
     code, out, _ = run_cli(
         capsys, "estimate", "--plant", EST_PLANT, "--obs", "", "--budget", "0"
@@ -196,6 +219,7 @@ def test_all_commands_are_byte_stable(capsys):
         ("diagnose", "--plant", DEFE_PLANT, "--attacks", DEFE_COSTS,
          "--budget", "2", "--witness"),
         ("cmin", "--plant", DEFE_PLANT, "--attacks", DEFE_COSTS),
+        ("cmin", "--plant", DEFE_PLANT, "--attacks", DEFE_COSTS, "--witness"),
         ("export-dot", "--plant", DIAG_PLANT, "--target", "observer"),
     ]
     for argv in invocations:
@@ -395,6 +419,29 @@ def test_output_is_stable_across_processes():
     ]
     for argv in invocations:
         assert run(*argv) == run(*argv)
+
+
+def test_optimized_interpreter_prints_the_same(tmp_path):
+    """Checks stay in force under ``python -O``, and the output does not change."""
+    src = str(Path(tamperest.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+    def run(flags, *argv):
+        result = subprocess.run(
+            [sys.executable, *flags, "-m", "tamperest.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        return result.returncode, result.stdout
+
+    for plant_name, costs_name in zip(fixtures.PLANTS, fixtures.COST_TABLES):
+        inputs = (
+            "--plant", str(fixtures.plant_path(plant_name)),
+            "--attacks", str(fixtures.costs_path(costs_name)),
+        )
+        for argv in (("cmin", *inputs), ("diagnose", *inputs, "--budget", "2", "--witness")):
+            assert run(["-O"], *argv) == run([], *argv)
 
 
 def test_cmin_without_faults_reports_null(capsys):

@@ -13,12 +13,14 @@ from tamperest.cmin import (
     build_corrupted_automaton,
     build_costed_twin_verifier,
     find_free_confusion_states,
+    is_mismatched,
     minimum_defeating_budget,
     pareto_update,
+    propagate_cost_labels,
     step_costs,
 )
 from tamperest.diagnoser import FAULTY, NORMAL, verify_diagnosability
-from tamperest.errors import ValidationError
+from tamperest.errors import OracleBudgetError, ValidationError
 from tamperest.oracle import brute_force_minimum_budget
 
 from instances import random_attack_model, random_plant
@@ -205,11 +207,26 @@ def test_cost_pair_total_is_the_max():
 # -- minimum defeating budget ------------------------------------------------------------
 
 
+def _reference_verifier(plant, model, budget=None):
+    return build_costed_twin_verifier(
+        build_corrupted_automaton(plant, model), plant.faults, budget=budget
+    )
+
+
+def _reference_value(plant, model, budget=None):
+    """Minimum defeating budget by the reference route: explicit verifier, FIFO labels."""
+    verifier = _reference_verifier(plant, model, budget)
+    ending, _cycles = find_free_confusion_states(verifier)
+    labels, _parents = propagate_cost_labels(verifier, budget=budget)
+    return min((max(pair) for q in ending for pair in labels[q]), default=None)
+
+
 def test_defeatable_fixture_minimum_budget(defeatable_plant, defeatable_costs):
     result = analyze_minimum_budget(defeatable_plant, defeatable_costs)
     assert result.value == 2
-    assert result.labels[(3, FAULTY, 5, NORMAL)] == frozenset({(2, 0)})
-    assert result.labels[(5, NORMAL, 3, FAULTY)] == frozenset({(0, 2)})
+    labels, _parents = propagate_cost_labels(_reference_verifier(defeatable_plant, defeatable_costs))
+    assert labels[(3, FAULTY, 5, NORMAL)] == frozenset({(2, 0)})
+    assert labels[(5, NORMAL, 3, FAULTY)] == frozenset({(0, 2)})
 
 
 def test_classically_broken_toy_needs_no_budget(confusable_plant, empty_model):
@@ -224,8 +241,11 @@ def test_witness_path_reaches_an_ending_state(defeatable_plant, defeatable_costs
     result = analyze_minimum_budget(defeatable_plant, defeatable_costs, want_witness=True)
     steps = result.witness
     assert steps
-    assert steps[0][0] in result.verifier.initial
-    assert steps[-1][3] in result.ending_states
+    assert steps[0][0] == (0, NORMAL, 0, NORMAL)  # the only initial pair
+    ending, _cycles = find_free_confusion_states(
+        _reference_verifier(defeatable_plant, defeatable_costs)
+    )
+    assert steps[-1][3] in ending
     for (left, right) in zip(steps, steps[1:]):
         assert left[3] == right[0]
     totals = [0, 0]
@@ -249,8 +269,68 @@ def test_value_exists_exactly_when_free_confusion_exists():
     for _ in range(40):
         plant = random_plant(rng, max_states=4, with_fault=True)
         model = random_attack_model(rng, max_cost=2)
-        result = analyze_minimum_budget(plant, model)
-        assert (result.value is not None) == bool(result.ending_states)
+        ending, _cycles = find_free_confusion_states(_reference_verifier(plant, model))
+        assert (minimum_defeating_budget(plant, model) is not None) == bool(ending)
+
+
+def _attacked_plants(seed, count):
+    """Random attacked plants of at most 5 states with their oracle minimum.
+
+    Half have a positive minimum, which random plants rarely do, so plants
+    are drawn until enough turn up; plants the oracle refuses as too large
+    are passed over.
+    """
+    rng = random.Random(seed)
+    positive = others = count // 2
+    while positive or others:
+        plant = random_plant(rng, max_states=5, with_fault=True)
+        model = random_attack_model(rng, max_cost=3, p_del=0.3, p_ins=0.3, p_sub=0.3)
+        engine_positive = bool(minimum_defeating_budget(plant, model))
+        if not (positive if engine_positive else others):
+            continue
+        try:
+            value = brute_force_minimum_budget(plant, model)
+        except OracleBudgetError:
+            continue
+        if engine_positive:
+            positive -= 1
+        else:
+            others -= 1
+        yield plant, model, value
+
+
+def test_engine_reference_and_oracle_agree_at_every_budget():
+    for plant, model, oracle in _attacked_plants(127, 30):
+        for budget in (None, 0, 1, 2, 3, 4, 5):
+            within = budget is None or (oracle is not None and oracle <= budget)
+            expected = oracle if within else None
+            assert analyze_minimum_budget(plant, model, budget=budget).value == expected
+            assert _reference_value(plant, model, budget) == expected
+
+
+def test_witness_is_a_cheapest_attack_into_a_free_confusion_cycle():
+    for plant, model, value in _attacked_plants(131, 30):
+        ending, _cycles = find_free_confusion_states(_reference_verifier(plant, model))
+        budgets = (None,) if value is None else (None, value, value + 2)
+        for budget in budgets:
+            result = analyze_minimum_budget(plant, model, want_witness=True, budget=budget)
+            if value is None:
+                assert result.witness is None and result.cycle is None
+                continue
+            access, cycle = result.witness, result.cycle
+            x, l1, y, l2 = access[0][0]
+            assert x in plant.initial and y in plant.initial and l1 == l2 == NORMAL
+            steps = access + cycle
+            for (before, after) in zip(steps, steps[1:]):
+                assert before[3] == after[0]
+            spent = (sum(step_costs(s).left for s in access), sum(step_costs(s).right for s in access))
+            assert max(spent) == result.value == value
+            assert budget is None or value <= budget
+            assert access[-1][3] in ending
+            assert cycle and cycle[-1][3] == cycle[0][0] == access[-1][3]
+            for step in cycle:
+                assert step_costs(step) == (0, 0)
+                assert is_mismatched(step[0]) and is_mismatched(step[3])
 
 
 def _simple_path_label_sets(verifier, cap=50_000):
@@ -284,8 +364,6 @@ def _simple_path_label_sets(verifier, cap=50_000):
 
 
 def test_label_sets_match_exhaustive_path_enumeration():
-    from tamperest.cmin import propagate_cost_labels
-
     rng = random.Random(113)
     checked = 0
     for _ in range(25):

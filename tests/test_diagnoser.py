@@ -334,7 +334,8 @@ def test_witness_attack_fits_the_budget_and_cycle_is_free(defeatable_plant, defe
     for plant, model, cmin, budget in cases:
         result = verify_diagnosability(plant, model, budget=budget, want_witness=True)
         access, cycle = result.witness.access, result.witness.cycle
-        assert access[0][0] in result.verifier.initial
+        x, l1, y, l2 = access[0][0]  # the attack starts at an initial pair
+        assert x in plant.initial and y in plant.initial and l1 == l2 == NORMAL
         steps = access + cycle
         for (before, after) in zip(steps, steps[1:]):
             assert before[3] == after[0]
