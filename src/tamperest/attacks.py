@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
 from .automata import PlantNfa, check_symbol_name
@@ -85,13 +86,13 @@ class CostedSequence:
     cost: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackModel:
     """Deletable/insertable symbols and substitution pairs with their costs.
 
     The key sets of the three cost maps are exactly the capability sets;
     every cost is a strictly positive integer and identity substitutions are
-    rejected.
+    rejected.  The maps are read-only copies of the ones passed in.
     """
 
     deletions: Mapping[str, int]
@@ -99,9 +100,8 @@ class AttackModel:
     substitutions: Mapping[tuple, int]
 
     def __post_init__(self):
-        self.deletions = dict(self.deletions)
-        self.insertions = dict(self.insertions)
-        self.substitutions = dict(self.substitutions)
+        for name in ("deletions", "insertions", "substitutions"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         for symbol, cost in list(self.deletions.items()) + list(self.insertions.items()):
             check_symbol_name(symbol)
             _check_cost(cost, f"attack on {symbol!r}")
@@ -323,7 +323,10 @@ def model_from_dict(data: dict) -> AttackModel:
     for entry in data.get("substitutions", []):
         if not isinstance(entry, dict) or {"from", "to", "cost"} - entry.keys():
             raise ValidationError(f"bad substitution entry: {entry!r}")
-        substitutions[(entry["from"], entry["to"])] = entry["cost"]
+        pair = (check_symbol_name(entry["from"]), check_symbol_name(entry["to"]))
+        if pair in substitutions:
+            raise ValidationError(f"duplicate substitution entry: {entry!r}")
+        substitutions[pair] = entry["cost"]
     return AttackModel(deletions, insertions, substitutions)
 
 

@@ -305,14 +305,16 @@ def plant_from_dict(data: dict) -> PlantNfa:
         if not isinstance(entry, dict) or {"from", "event", "to"} - entry.keys():
             raise ValidationError(f"bad transition entry: {entry!r}")
         transitions.append((entry["from"], entry["event"], entry["to"]))
-    return PlantNfa(
-        states=frozenset(data["states"]),
-        observable=frozenset(data["observable"]),
-        unobservable=frozenset(data["unobservable"]),
-        faults=frozenset(data["faults"]),
-        transitions=frozenset(transitions),
-        initial=frozenset(data["initial"]),
-    )
+    try:
+        sets = {key: frozenset(data[key]) for key in _PLANT_KEYS - {"transitions"}}
+        sets["transitions"] = frozenset(transitions)
+    except TypeError:
+        raise ValidationError(
+            "plant states and events must be strings or numbers, not lists or objects"
+        ) from None
+    if len(sets["states"]) != len(data["states"]):
+        raise ValidationError("plant states must be distinct (1, 1.0 and true are the same state)")
+    return PlantNfa(**sets)
 
 
 def plant_to_dict(plant: PlantNfa) -> dict:

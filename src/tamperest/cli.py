@@ -22,7 +22,7 @@ from .automata import build_observer, load_plant, sort_key
 from .cmin import analyze_minimum_budget, build_corrupted_automaton, build_costed_twin_verifier
 from .diagnoser import side_run, verify_diagnosability
 from .errors import ConfigurationError, PreconditionError, ValidationError
-from .estimator import estimate_least_cost
+from .estimator import estimate_least_cost, reduced_product
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -125,13 +125,7 @@ def _cmd_estimate(args) -> int:
     }
     _emit(payload)
     if args.dot:
-        from .estimator import build_product, reduce_product
-        from .matching import build_costed_matching_dfa
-
-        dfa = build_costed_matching_dfa(
-            observation, model, args.budget + 1, alphabet=plant.observable
-        )
-        product = reduce_product(build_product(plant, dfa))
+        product = reduced_product(plant, model, observation, args.budget)
         _write_dot(args.dot, dot.product_to_dot(product))
     return EXIT_OK
 

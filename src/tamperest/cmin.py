@@ -10,14 +10,15 @@ cycle whose label pair stays mismatched.  The cheapest way in, measured as
 the larger of the two side costs, is the minimum defeating budget.
 
 `analyze_minimum_budget` computes it without building the verifier.  Per
-call, it numbers plant states (in `sort_key` order) and plant events
-(sorted) densely, tabulates each state's moves once, and encodes a twin
-state as one int.  It then generates successors on demand and runs a
-bi-objective label-setting search (Martins, EJOR 1984; Sedeño-Noda &
-Colebrook, EJOR 2019) over cost pairs ``(left, right)``, popping labels in
-``(max, sum)`` order.  A label that dominates another never pops later, so
-every label that survives the dominance test on pop is final, and the first
-one at an ending state carries the answer.  Whether a state is ending is
+call, it builds the corrupted automaton, numbers plant states (in `sort_key`
+order) and plant events (sorted) densely, tabulates each state's corrupted
+moves once, and encodes a twin state as one int; the attack rules live in
+`build_corrupted_automaton` alone.  It then generates successors on demand
+and runs a bi-objective label-setting search (Martins, EJOR 1984;
+Sedeño-Noda & Colebrook, EJOR 2019) over cost pairs ``(left, right)``,
+popping labels in ``(max, sum)`` order.  A label that dominates another
+never pops later, so every label that survives the dominance test on pop is
+final, and the first one at an ending state carries the answer.  Whether a state is ending is
 decided on demand, by one Tarjan pass per unexplored region of the
 cost-free mismatched subgraph.  Unobservable events move one side at a
 time: a joint move equals a left move followed by a right move at zero
@@ -27,10 +28,10 @@ The same search decides diagnosability at a budget C: given ``budget=C`` it
 explores only attacks that cost each side at most C, so it finds a value
 exactly when the minimum defeating budget is at most C.
 
-The explicit constructions below the engine (`build_corrupted_automaton`,
-`build_costed_twin_verifier`, `find_free_confusion_states`,
-`propagate_cost_labels`) are reference code: the tests check the engine
-against them, and ``--dot`` renders the verifier they build.
+The explicit constructions below the engine (`build_costed_twin_verifier`,
+`find_free_confusion_states`, `propagate_cost_labels`) are reference code:
+the tests check the engine against them, and ``--dot`` renders the verifier
+they build.
 """
 
 from __future__ import annotations
@@ -93,6 +94,50 @@ class CminResult:
         return self.value is not None
 
 
+@dataclass(frozen=True, eq=False)
+class CorruptedAutomaton:
+    """Plant with attack actions as (event, cost)-labelled edges.
+
+    ``moves(x)`` maps each plant event, observed symbol or the empty symbol
+    (deletions) to ``{cost: targets}``: plant moves cost 0, a deletion is an
+    empty edge, an insertion a self-loop, and a substitution follows the
+    original symbol.  Identity stays ``(empty, 0)`` are implicit and never
+    materialised.
+    """
+
+    plant: PlantNfa
+    model: AttackModel
+    _moves: Mapping = field(repr=False, compare=False, default=None)
+
+    def moves(self, state) -> Mapping:
+        return self._moves.get(state, {})
+
+    def targets(self, state, symbol: str, cost: int) -> frozenset:
+        return self.moves(state).get(symbol, {}).get(cost, frozenset())
+
+
+def build_corrupted_automaton(plant: PlantNfa, model: AttackModel) -> CorruptedAutomaton:
+    model.validate_against(plant)
+    moves: dict = {}
+
+    def add(state, symbol, cost, targets):
+        if not targets:
+            return
+        bucket = moves.setdefault(state, {}).setdefault(symbol, {})
+        bucket[cost] = bucket.get(cost, frozenset()) | frozenset(targets)
+
+    for (state, event, dst) in plant.transitions:
+        add(state, event, 0, (dst,))
+    for state in plant.states:
+        for symbol, cost in model.deletions.items():
+            add(state, EPSILON, cost, plant.successors(state, symbol))
+        for symbol, cost in model.insertions.items():
+            add(state, symbol, cost, frozenset({state}))
+        for (original, observed), cost in model.substitutions.items():
+            add(state, observed, cost, plant.successors(state, original))
+    return CorruptedAutomaton(plant=plant, model=model, _moves=moves)
+
+
 def analyze_minimum_budget(
     plant: PlantNfa,
     model: AttackModel,
@@ -109,10 +154,10 @@ def analyze_minimum_budget(
     at most `budget`.
     """
     faults = frozenset(plant.faults if faults is None else faults)
-    model.validate_against(plant)
+    corrupted = build_corrupted_automaton(plant, model)
     if not faults <= plant.unobservable:
         raise ValidationError("fault events must be unobservable plant events")
-    twin = _LazyTwin(plant, model, faults, budget)
+    twin = _LazyTwin(corrupted, faults, budget)
     label = twin.cheapest_ending_label()
     if label is None:
         return CminResult(value=None)
@@ -138,44 +183,32 @@ class _LazyTwin:
     in `_LABELS`; int order is therefore the canonical state order.
     """
 
-    def __init__(self, plant: PlantNfa, model: AttackModel, faults: frozenset, budget):
+    def __init__(self, corrupted: CorruptedAutomaton, faults: frozenset, budget):
+        plant = corrupted.plant
         self.states = sorted(plant.states, key=sort_key)
         self.symbols = [EPSILON] + sorted(plant.alphabet)
         self.width = 2 * len(self.states)
         self.budget = float("inf") if budget is None else budget
         index = {state: x for x, state in enumerate(self.states)}
         event = {symbol: e for e, symbol in enumerate(self.symbols)}
-        silent_events = [e for e, symbol in enumerate(self.symbols) if symbol in plant.unobservable]
         #: per state, observed event -> ((cost, targets), ...) by cost; event 0
         #: (deletions) always starts with the zero-cost stay
         self.observed = []
         #: per state, ((event, is_fault, targets), ...) for unobservable events
         self.silent = []
         for x, state in enumerate(self.states):
-            buckets: dict = {(0, 0): {x}}
-
-            def add(e, cost, targets):
-                if targets:
-                    buckets.setdefault((e, cost), set()).update(index[t] for t in targets)
-
-            for symbol in plant.observable:
-                add(event[symbol], 0, plant.successors(state, symbol))
-            for symbol, cost in model.deletions.items():
-                add(0, cost, plant.successors(state, symbol))
-            for symbol, cost in model.insertions.items():
-                add(event[symbol], cost, (state,))
-            for (original, observed), cost in model.substitutions.items():
-                add(event[observed], cost, plant.successors(state, original))
-            table: dict = {}
-            for (e, cost) in sorted(buckets):
-                table.setdefault(e, []).append((cost, tuple(sorted(buckets[(e, cost)]))))
-            self.observed.append({e: tuple(moves) for e, moves in table.items()})
+            observed: dict = {0: [(0, (x,))]}
             silent = []
-            for e in silent_events:
-                targets = plant.successors(state, self.symbols[e])
-                if targets:
-                    targets = tuple(sorted(index[t] for t in targets))
-                    silent.append((e, self.symbols[e] in faults, targets))
+            for symbol, by_cost in sorted(corrupted.moves(state).items()):
+                moves = [
+                    (cost, tuple(sorted(index[t] for t in by_cost[cost])))
+                    for cost in sorted(by_cost)
+                ]
+                if symbol in plant.unobservable:  # one move, at cost 0
+                    silent.append((event[symbol], symbol in faults, moves[0][1]))
+                else:
+                    observed.setdefault(event[symbol], []).extend(moves)
+            self.observed.append({e: tuple(moves) for e, moves in observed.items()})
             self.silent.append(tuple(silent))
         self.initial = sorted(
             (2 * index[x] + _NORMAL_BIT) * self.width + 2 * index[y] + _NORMAL_BIT
@@ -344,48 +377,6 @@ def minimum_defeating_budget(
 
 
 # -- reference and DOT export: the explicit costed twin verifier --------------
-
-
-@dataclass(frozen=True, eq=False)
-class CorruptedAutomaton:
-    """Plant with attack actions as (event, cost)-labelled edges.
-
-    ``moves(x)`` maps each observed symbol (or the empty symbol for
-    deletions) to ``{cost: targets}``.  Identity stays ``(empty, 0)`` are
-    implicit and never materialised.
-    """
-
-    plant: PlantNfa
-    model: AttackModel
-    _moves: Mapping = field(repr=False, compare=False, default=None)
-
-    def moves(self, state) -> Mapping:
-        return self._moves.get(state, {})
-
-    def targets(self, state, symbol: str, cost: int) -> frozenset:
-        return self.moves(state).get(symbol, {}).get(cost, frozenset())
-
-
-def build_corrupted_automaton(plant: PlantNfa, model: AttackModel) -> CorruptedAutomaton:
-    model.validate_against(plant)
-    moves: dict = {}
-
-    def add(state, symbol, cost, targets):
-        if not targets:
-            return
-        bucket = moves.setdefault(state, {}).setdefault(symbol, {})
-        bucket[cost] = bucket.get(cost, frozenset()) | frozenset(targets)
-
-    for state in plant.states:
-        for event in plant.events_at(state):
-            add(state, event, 0, plant.successors(state, event))
-        for symbol, cost in model.deletions.items():
-            add(state, EPSILON, cost, plant.successors(state, symbol))
-        for symbol, cost in model.insertions.items():
-            add(state, symbol, cost, frozenset({state}))
-        for (original, observed), cost in model.substitutions.items():
-            add(state, observed, cost, plant.successors(state, original))
-    return CorruptedAutomaton(plant=plant, model=model, _moves=moves)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,13 +5,16 @@ consistent with *some* explanation of that observation whose recovery cost
 stays within the attacker budget, each state annotated with the cheapest
 such cost.
 
-Two routes produce it:
+Both routes read the attack labels from :mod:`tamperest.matching`:
 
 * an explicit product of the plant with the costed matching DFA
-  (`build_product`), reduced by cost dominance (`reduce_product`) and read
-  off at the final stage (`ending_estimates`);
-* a stage-by-stage sweep (`estimate_least_cost`) that relaxes per-(state,
-  stage) costs directly and never materialises the product.  Results are
+  (`build_product`), reduced by cost dominance (`reduce_product`, both
+  steps in `reduced_product`) and read off at the final stage
+  (`ending_estimates`);
+* a stage-by-stage sweep (`estimate_least_cost`) over the stage machine of
+  `build_matching_automaton`: its advancing labels move to the next stage
+  and its loop (deletion) labels are relaxed within a stage, on per-(state,
+  stage) costs, so the product is never materialised.  Results are
   identical; the sweep is the production path.
 """
 
@@ -22,21 +25,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .attacks import (
-    AttackModel,
-    Del,
-    Ins,
-    Label,
-    Plain,
-    Sub,
-    check_budget,
-    label_cost,
-    label_sort_key,
-    project_original,
-)
+from .attacks import AttackModel, Label, check_budget, label_cost, project_original
 from .automata import PlantNfa, sort_key
 from .errors import ConfigurationError, ValidationError
-from .matching import CostedMatchingDfa, build_costed_matching_dfa
+from .matching import CostedMatchingDfa, build_costed_matching_dfa, build_matching_automaton
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,12 +205,19 @@ def ending_estimates(product: ProductAutomaton, budget: int) -> Estimate:
     )
 
 
+def reduced_product(
+    plant: PlantNfa, model: AttackModel, received: Sequence[str], budget: int
+) -> ProductAutomaton:
+    """Matching DFA saturated at ``budget + 1`` -> product -> reduction."""
+    dfa = build_costed_matching_dfa(received, model, budget + 1, alphabet=plant.observable)
+    return reduce_product(build_product(plant, dfa))
+
+
 def estimate_via_product(
     plant: PlantNfa, model: AttackModel, received: Sequence[str], budget: int
 ) -> Estimate:
-    """Reference pipeline: matching DFA -> product -> reduction -> estimate."""
-    dfa = build_costed_matching_dfa(received, model, budget + 1, alphabet=plant.observable)
-    return ending_estimates(reduce_product(build_product(plant, dfa)), budget)
+    """Reference pipeline: the reduced product, read off at the final stage."""
+    return ending_estimates(reduced_product(plant, model, received, budget), budget)
 
 
 def estimate_least_cost(
@@ -238,17 +237,15 @@ def estimate_least_cost(
     """
     check_budget(budget)
     model.validate_against(plant)
-    received = tuple(received)
-    for symbol in received:
-        if symbol not in plant.observable:
-            raise ValidationError(f"received symbol {symbol!r} is not observable")
+    matching = build_matching_automaton(received, model, alphabet=plant.observable)
+    loop = [(label, label_cost(label, model)) for label in matching.loop_labels()]
     bound = budget + 1
 
     # parents[(stage, state)] = (label, prev_state, prev_stage); only for witness mode
     parents: dict = {}
 
     def relax_deletions(dist: dict, stage: int) -> dict:
-        if not model.deletions:
+        if not loop:
             return dist
         heap = [(cost, sort_key(state), state) for state, cost in dist.items()]
         heapq.heapify(heap)
@@ -256,30 +253,21 @@ def estimate_least_cost(
             cost, _k, state = heapq.heappop(heap)
             if cost > dist.get(state, bound):
                 continue
-            for symbol, del_cost in sorted(model.deletions.items()):
+            for label, del_cost in loop:
                 new_cost = min(cost + del_cost, bound)
-                for target in sorted(plant.reach((state,), (symbol,)), key=sort_key):
+                for target in sorted(plant.reach((state,), (label.symbol,)), key=sort_key):
                     if new_cost < dist.get(target, bound + 1):
                         dist[target] = new_cost
                         if witness:
-                            parents[(stage, target)] = (Del(symbol), state, stage)
+                            parents[(stage, target)] = (label, state, stage)
                         heapq.heappush(heap, (new_cost, sort_key(target), target))
         return dist
 
     dist = {state: 0 for state in plant.unobservable_closure(plant.initial)}
     dist = relax_deletions(dist, 0)
-    for stage, symbol in enumerate(received):
-        labels = [Plain(symbol)]
-        if symbol in model.insertions:
-            labels.append(Ins(symbol))
-        labels.extend(
-            Sub(original, observed)
-            for (original, observed) in sorted(model.substitutions)
-            if observed == symbol
-        )
-        labels.sort(key=label_sort_key)
+    for stage in range(matching.final_stage):
         nxt: dict = {}
-        for label in labels:
+        for label in matching.advancing_labels(stage):
             delta = label_cost(label, model)
             for state, cost in sorted(dist.items(), key=lambda kv: (kv[1], sort_key(kv[0]))):
                 new_cost = min(cost + delta, bound)
@@ -295,10 +283,10 @@ def estimate_least_cost(
     witnesses = None
     if witness:
         witnesses = {
-            state: _reconstruct(parents, state, len(received)) for state in pairs
+            state: _reconstruct(parents, state, matching.final_stage) for state in pairs
         }
     return Estimate(
-        received=received,
+        received=matching.received,
         budget=budget,
         pairs=pairs,
         over_budget=over,

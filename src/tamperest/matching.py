@@ -169,13 +169,12 @@ def build_costed_matching_dfa(
     states = {start}
     transitions = {}
     queue = deque([start])
+    loops = skeleton.loop_labels()
     while queue:
         stage, cost = queue.popleft()
-        moves = list(skeleton.loop_labels()) + list(skeleton.advancing_labels(stage))
-        for label in moves:
-            next_stage = skeleton.step(stage, label)
-            if next_stage is None:
-                continue
+        moves = [(label, stage) for label in loops]
+        moves.extend((label, stage + 1) for label in skeleton.advancing_labels(stage))
+        for label, next_stage in moves:
             next_cost = min(cost + label_cost(label, model), bound)
             target = (next_stage, next_cost)
             transitions[((stage, cost), label)] = target

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -36,6 +37,18 @@ def test_costs_must_be_positive():
         AttackModel({}, {"a": -1}, {})
     with pytest.raises(ValidationError):
         AttackModel({}, {}, {("a", "b"): 0})
+
+
+def test_model_is_immutable():
+    source = {"a": 1}
+    model = AttackModel(source, {"b": 2}, {("a", "b"): 3})
+    source["a"] = 5
+    assert model.deletions == {"a": 1}
+    for table in (model.deletions, model.insertions, model.substitutions):
+        with pytest.raises(TypeError):
+            table["zz"] = -3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.deletions = {"zz": -3}
 
 
 def test_identity_substitution_rejected():

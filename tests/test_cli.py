@@ -264,6 +264,46 @@ def test_mismatched_attack_table_exits_2(capsys, tmp_path):
     assert "non-observable" in json.loads(err)["error"]
 
 
+def test_malformed_plants_exit_2(capsys, tmp_path):
+    def plant(states=(1, 2), initial=(1,), transitions=(), observable=("a",)):
+        return {
+            "states": list(states), "observable": list(observable), "unobservable": [],
+            "faults": [], "initial": list(initial), "transitions": list(transitions),
+        }
+
+    unhashable = "must be strings or numbers"
+    cases = [
+        (plant(states=([1], 2)), unhashable),
+        (plant(states=(1, {"x": 1})), unhashable),
+        (plant(observable=(["a"],)), unhashable),
+        (plant(initial=([1],)), unhashable),
+        (plant(transitions=({"from": [1], "event": "a", "to": 2},)), unhashable),
+        (plant(transitions=({"from": 1, "event": "a", "to": {"x": 2}},)), unhashable),
+        (plant(states=(1, True, 1.0), initial=(2,)), "distinct"),
+        (plant(states=(1, 2, 1)), "distinct"),
+    ]
+    path = tmp_path / "plant.json"
+    for data, message in cases:
+        path.write_text(json.dumps(data))
+        code, _out, err = run_cli(capsys, "observer", "--plant", str(path))
+        assert code == 2, data
+        assert message in json.loads(err)["error"]
+
+
+def test_malformed_substitutions_exit_2(capsys, tmp_path):
+    costs = tmp_path / "costs.json"
+    cases = [
+        ([{"from": "α", "to": "γ", "cost": 1}, {"from": "α", "to": "γ", "cost": 2}], "duplicate"),
+        ([{"from": ["α"], "to": "γ", "cost": 1}], "event names"),
+        ([{"from": "α", "to": {"γ": 1}, "cost": 1}], "event names"),
+    ]
+    for substitutions, message in cases:
+        costs.write_text(json.dumps({"substitutions": substitutions}))
+        code, _out, err = run_cli(capsys, "cmin", "--plant", EST_PLANT, "--attacks", str(costs))
+        assert code == 2, substitutions
+        assert message in json.loads(err)["error"]
+
+
 def test_unknown_fault_symbol_exits_2(capsys):
     code, _out, err = run_cli(
         capsys, "diagnose", "--plant", DIAG_PLANT, "--faults", "α", "--budget", "1"
@@ -442,6 +482,9 @@ def test_optimized_interpreter_prints_the_same(tmp_path):
         )
         for argv in (("cmin", *inputs), ("diagnose", *inputs, "--budget", "2", "--witness")):
             assert run(["-O"], *argv) == run([], *argv)
+    estimate = ("estimate", "--plant", EST_PLANT, "--attacks", EST_COSTS,
+                "--obs", "β α α", "--budget", "2", "--witness")
+    assert run(["-O"], *estimate) == run([], *estimate)
 
 
 def test_cmin_without_faults_reports_null(capsys):

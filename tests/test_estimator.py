@@ -224,11 +224,13 @@ def test_witnesses_explain_their_states():
         word = random_observation(rng)
         budget = rng.randint(0, 4)
         estimate = estimate_least_cost(plant, model, word, budget, witness=True)
+        dfa = build_costed_matching_dfa(word, model, budget + 1)
         for state, cost in estimate.pairs.items():
             labels = estimate.witnesses[state]
             assert project_received(labels) == word
             assert total_cost(labels, model) == cost
             assert state in plant.reach(plant.initial, project_original(labels))
+            assert dfa.run(labels) == (len(word), cost)
 
 
 def test_over_budget_states_carry_costs_just_beyond_the_budget():

@@ -1,0 +1,78 @@
+"""CLI output on the bundled fixtures, byte for byte against `tests/golden/`.
+
+Regenerate the files (only when an output change is intended) with::
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from tamperest import fixtures
+from tamperest.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _inputs(plant: str, costs: str) -> tuple:
+    return ("--plant", str(fixtures.plant_path(plant)), "--attacks", str(fixtures.costs_path(costs)))
+
+
+def _cases() -> dict:
+    """Golden file stem -> (argv, whether the command also writes a DOT file)."""
+    cases = {}
+    estimation = _inputs("estimation", "estimation")
+    for budget in range(4):
+        argv = ("estimate", *estimation, "--obs", "β α α", "--budget", str(budget), "--witness")
+        cases[f"estimate_estimation_b{budget}"] = (argv, False)
+    for plant, costs in zip(fixtures.PLANTS, fixtures.COST_TABLES):
+        inputs = _inputs(plant, costs)
+        for budget in range(4):
+            argv = ("diagnose", *inputs, "--budget", str(budget), "--witness")
+            cases[f"diagnose_{plant}_b{budget}"] = (argv, False)
+        cases[f"cmin_{plant}"] = (("cmin", *inputs, "--witness"), False)
+    defeatable = _inputs("defeatable", "defeatable")
+    cases["estimate_estimation_b2_dot"] = (
+        ("estimate", *estimation, "--obs", "β α α", "--budget", "2"), True
+    )
+    cases["diagnose_defeatable_b2_dot"] = (("diagnose", *defeatable, "--budget", "2"), True)
+    cases["cmin_defeatable_dot"] = (("cmin", *defeatable), True)
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(argv: tuple, dot_path) -> str:
+    if dot_path is not None:
+        argv = (*argv, "--dot", str(dot_path))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    if code != 0:
+        raise RuntimeError(f"{argv} exited {code}")
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("stem", sorted(CASES))
+def test_cli_output_matches_golden(stem, tmp_path):
+    argv, writes_dot = CASES[stem]
+    dot_path = tmp_path / "out.dot" if writes_dot else None
+    out = _run(argv, dot_path)
+    assert out.encode("utf-8") == (GOLDEN / f"{stem}.json").read_bytes()
+    if writes_dot:
+        assert dot_path.read_bytes() == (GOLDEN / f"{stem}.dot").read_bytes()
+
+
+def write_golden():
+    GOLDEN.mkdir(exist_ok=True)
+    for stem, (argv, writes_dot) in sorted(CASES.items()):
+        dot_path = GOLDEN / f"{stem}.dot" if writes_dot else None
+        (GOLDEN / f"{stem}.json").write_bytes(_run(argv, dot_path).encode("utf-8"))
+
+
+if __name__ == "__main__":
+    write_golden()
