@@ -17,9 +17,13 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
+from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError
+from .scc import cycle_within, strongly_connected_components
 
 State = Hashable
 Symbol = str
@@ -47,6 +51,12 @@ class PlantNfa:
 
     Transitions form a partial relation: absence of an entry means the move
     is undefined (there is no implicit sink state).
+
+    The plant owns the canonical numbering of its states: `order` lists
+    them in `sort_key` order, `index` maps each back to its position, and
+    `posts` tabulates ``reach`` over that numbering for the empty word and
+    for each observable symbol.  The three read-only tables are built on
+    first use, so constructing or loading a plant does not pay for them.
     """
 
     states: frozenset
@@ -94,6 +104,28 @@ class PlantNfa:
     def successors(self, state, event) -> frozenset:
         """One-step successors of `state` under `event` (possibly empty)."""
         return self._succ.get((state, event), frozenset())
+
+    @cached_property
+    def order(self) -> tuple:
+        """The states in canonical (`sort_key`) order."""
+        return tuple(sorted(self.states, key=sort_key))
+
+    @cached_property
+    def index(self) -> Mapping:
+        """State -> its position in `order`."""
+        return MappingProxyType({state: x for x, state in enumerate(self.order)})
+
+    @cached_property
+    def posts(self) -> Mapping:
+        """Word -> per state index, the sorted indices of ``reach((state,), word)``."""
+        words = [()] + [(symbol,) for symbol in sorted(self.observable)]
+        return MappingProxyType({
+            word: tuple(
+                tuple(sorted(self.index[target] for target in self.reach((state,), word)))
+                for state in self.order
+            )
+            for word in words
+        })
 
     def events_at(self, state) -> frozenset:
         return frozenset(e for (s, e) in self._succ if s == state)
@@ -184,46 +216,21 @@ def unobservable_cycle(plant: PlantNfa) -> Optional[list]:
     """One reachable cycle of unobservable transitions, or None if there is none.
 
     The witness is a list of transitions ``(src, event, dst)`` that starts
-    and ends at the same state.
+    and ends at the same state; each step takes the first unobservable event
+    from `src` to `dst` in name order.
     """
-    edges: dict = {}
-    for (src, event, dst) in plant.transitions:
-        if event in plant.unobservable:
-            edges.setdefault(src, []).append((event, dst))
-    for outs in edges.values():
-        outs.sort(key=lambda pair: (sort_key(pair[0]), sort_key(pair[1])))
+    def successors(state):
+        return sorted(plant._uo_out.get(state, ()), key=plant.index.__getitem__)
 
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {state: WHITE for state in plant.states}
-    parent_edge: dict = {}
-    for root in sorted(plant.reachable_states(), key=sort_key):
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(edges.get(root, ())))]
-        color[root] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for event, dst in it:
-                if color[dst] == GRAY:
-                    # back edge: walk parents from `node` up to `dst`
-                    cycle = [(node, event, dst)]
-                    cur = node
-                    while cur != dst:
-                        src, ev = parent_edge[cur]
-                        cycle.append((src, ev, cur))
-                        cur = src
-                    cycle.reverse()
-                    return cycle
-                if color[dst] == WHITE:
-                    color[dst] = GRAY
-                    parent_edge[dst] = (node, event)
-                    stack.append((dst, iter(edges.get(dst, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
+    reachable = plant.reachable_states()
+    roots = [state for state in plant.order if state in reachable]
+    for component in strongly_connected_components(roots, successors):
+        if len(component) > 1 or component[0] in successors(component[0]):
+            nodes = cycle_within(component, successors)
+            return [
+                (src, min(e for e in plant.unobservable if dst in plant.successors(src, e)), dst)
+                for src, dst in zip(nodes, nodes[1:])
+            ]
     return None
 
 
@@ -241,13 +248,16 @@ class ObserverDfa:
     """Deterministic observer over subsets of plant states.
 
     Only the accessible part is kept; every state is a non-empty frozenset
-    of plant states, and the transition map is partial.
+    of plant states, and the transition map is partial and read-only.
     """
 
     plant: PlantNfa
     initial: frozenset
     states: frozenset
     transitions: Mapping
+
+    def __post_init__(self):
+        object.__setattr__(self, "transitions", MappingProxyType(dict(self.transitions)))
 
     def step(self, subset: frozenset, symbol: Symbol) -> Optional[frozenset]:
         return self.transitions.get((subset, symbol))
@@ -289,6 +299,13 @@ def build_observer(plant: PlantNfa) -> ObserverDfa:
 # -- JSON interchange -------------------------------------------------------
 
 _PLANT_KEYS = {"states", "observable", "unobservable", "faults", "initial", "transitions"}
+_TRANSITION_FIELDS = itemgetter("from", "event", "to")
+
+
+def _typed(values) -> set:
+    """``(type, value)`` pairs: like `sort_key`, they tell 1, 1.0 and true apart."""
+    values = list(values)
+    return set(zip(map(type, values), values))
 
 
 def plant_from_dict(data: dict) -> PlantNfa:
@@ -300,11 +317,14 @@ def plant_from_dict(data: dict) -> PlantNfa:
     for key in ("states", "observable", "unobservable", "faults", "initial", "transitions"):
         if not isinstance(data[key], list):
             raise ValidationError(f"plant key {key!r} must be a list")
-    transitions = []
-    for entry in data["transitions"]:
-        if not isinstance(entry, dict) or {"from", "event", "to"} - entry.keys():
-            raise ValidationError(f"bad transition entry: {entry!r}")
-        transitions.append((entry["from"], entry["event"], entry["to"]))
+    try:  # one pass in C; the scan below only names the bad entry
+        transitions = list(map(_TRANSITION_FIELDS, data["transitions"]))
+    except (KeyError, TypeError):
+        bad = next(
+            entry for entry in data["transitions"]
+            if not isinstance(entry, dict) or {"from", "event", "to"} - entry.keys()
+        )
+        raise ValidationError(f"bad transition entry: {bad!r}") from None
     try:
         sets = {key: frozenset(data[key]) for key in _PLANT_KEYS - {"transitions"}}
         sets["transitions"] = frozenset(transitions)
@@ -314,6 +334,16 @@ def plant_from_dict(data: dict) -> PlantNfa:
         ) from None
     if len(sets["states"]) != len(data["states"]):
         raise ValidationError("plant states must be distinct (1, 1.0 and true are the same state)")
+    named = _typed(data["initial"])
+    named |= _typed(map(itemgetter(0), transitions)) | _typed(map(itemgetter(2), transitions))
+    renamed = [value for _kind, value in named - _typed(sets["states"]) if value in sets["states"]]
+    if renamed:
+        name = json.dumps(min(renamed, key=sort_key))
+        raise ValidationError(
+            f"{name} names no declared state (1, 1.0 and true are different names)"
+        )
+    if len(sets["transitions"]) != len(transitions):
+        raise ValidationError("plant transitions must not repeat")
     return PlantNfa(**sets)
 
 

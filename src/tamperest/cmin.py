@@ -10,19 +10,20 @@ cycle whose label pair stays mismatched.  The cheapest way in, measured as
 the larger of the two side costs, is the minimum defeating budget.
 
 `analyze_minimum_budget` computes it without building the verifier.  Per
-call, it builds the corrupted automaton, numbers plant states (in `sort_key`
-order) and plant events (sorted) densely, tabulates each state's corrupted
-moves once, and encodes a twin state as one int; the attack rules live in
-`build_corrupted_automaton` alone.  It then generates successors on demand
-and runs a bi-objective label-setting search (Martins, EJOR 1984;
-Sedeño-Noda & Colebrook, EJOR 2019) over cost pairs ``(left, right)``,
-popping labels in ``(max, sum)`` order.  A label that dominates another
-never pops later, so every label that survives the dominance test on pop is
-final, and the first one at an ending state carries the answer.  Whether a state is ending is
-decided on demand, by one Tarjan pass per unexplored region of the
-cost-free mismatched subgraph.  Unobservable events move one side at a
-time: a joint move equals a left move followed by a right move at zero
-cost, so leaving it out changes neither reachability nor cost-free cycles.
+call, it builds the corrupted automaton, takes the plant's canonical state
+numbering (`PlantNfa.order`), numbers plant events (sorted) densely,
+tabulates each state's corrupted moves once, and encodes a twin state as
+one int; the attack rules live in `build_corrupted_automaton` alone.  It
+then generates successors on demand and runs a bi-objective label-setting
+search (Martins, EJOR 1984; Sedeño-Noda & Colebrook, EJOR 2019) over cost
+pairs ``(left, right)``, popping labels in ``(max, sum)`` order.  A label
+that dominates another never pops later, so every label that survives the
+dominance test on pop is final, and the first one at an ending state
+carries the answer.  Whether a state is ending is decided on demand, by one
+Tarjan pass per unexplored region of the cost-free mismatched subgraph.
+Unobservable events move one side at a time: a joint move equals a left
+move followed by a right move at zero cost, so leaving it out changes
+neither reachability nor cost-free cycles.
 
 The same search decides diagnosability at a budget C: given ``budget=C`` it
 explores only attacks that cost each side at most C, so it finds a value
@@ -177,19 +178,21 @@ _FAULTY_BIT, _NORMAL_BIT = 0, 1
 class _LazyTwin:
     """The costed twin verifier over dense ints, explored on demand.
 
-    Plant state ``x`` is ``states[x]`` and event ``e`` is ``symbols[e]``,
-    with `EPSILON` as event 0.  A twin state ``(x, l1, y, l2)`` is the int
-    ``(2x + b1) * width + 2y + b2``, where ``b`` is the index of the label
-    in `_LABELS`; int order is therefore the canonical state order.
+    Plant state ``x`` is ``states[x]``, the plant's own canonical numbering
+    (`PlantNfa.order` and `PlantNfa.index`), and event ``e`` is
+    ``symbols[e]``, with `EPSILON` as event 0.  A twin state
+    ``(x, l1, y, l2)`` is the int ``(2x + b1) * width + 2y + b2``, where
+    ``b`` is the index of the label in `_LABELS`; int order is therefore the
+    canonical state order.
     """
 
     def __init__(self, corrupted: CorruptedAutomaton, faults: frozenset, budget):
         plant = corrupted.plant
-        self.states = sorted(plant.states, key=sort_key)
+        self.states = plant.order
         self.symbols = [EPSILON] + sorted(plant.alphabet)
         self.width = 2 * len(self.states)
         self.budget = float("inf") if budget is None else budget
-        index = {state: x for x, state in enumerate(self.states)}
+        index = plant.index
         event = {symbol: e for e, symbol in enumerate(self.symbols)}
         #: per state, observed event -> ((cost, targets), ...) by cost; event 0
         #: (deletions) always starts with the zero-cost stay

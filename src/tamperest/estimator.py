@@ -16,6 +16,12 @@ Both routes read the attack labels from :mod:`tamperest.matching`:
   and its loop (deletion) labels are relaxed within a stage, on per-(state,
   stage) costs, so the product is never materialised.  Results are
   identical; the sweep is the production path.
+
+The sweep works on the plant's canonical state numbering: states are the
+indices of `PlantNfa.order`, each label's plant move is read from
+`PlantNfa.posts`, and ties go to the canonically first state because index
+order is canonical order.  The product route calls ``PlantNfa.reach``
+itself, so it shares no table with the sweep it is compared against.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .attacks import AttackModel, Label, check_budget, label_cost, project_original
@@ -57,15 +64,6 @@ class ProductAutomaton:
         return frozenset(dst for (src, l, dst) in self.transitions if src == state and l == label)
 
 
-def _plant_move(plant: PlantNfa, state, label: Label) -> frozenset:
-    """Plant states compatible with one matching label from `state`.
-
-    The plant executes the hypothesised *original* symbol: nothing for an
-    insertion, the deleted/substituted/untouched symbol otherwise.
-    """
-    return plant.reach((state,), project_original((label,)))
-
-
 def build_product(plant: PlantNfa, dfa: CostedMatchingDfa) -> ProductAutomaton:
     """Accessible synchronous product; plant components are closure-saturated.
 
@@ -93,7 +91,8 @@ def build_product(plant: PlantNfa, dfa: CostedMatchingDfa) -> ProductAutomaton:
             nxt = dfa.step((stage, cost), label)
             if nxt is None:
                 continue
-            for target in sorted(_plant_move(plant, plant_state, label), key=sort_key):
+            targets = plant.reach((plant_state,), project_original((label,)))
+            for target in sorted(targets, key=sort_key):
                 dst = (target, nxt[0], nxt[1])
                 transitions.add((src, label, dst))
                 if dst not in states:
@@ -160,6 +159,7 @@ class Estimate:
     `pairs` maps each plant state to the cheapest recovery cost within the
     budget.  `over_budget` lists states reachable only by explanations whose
     cost exceeds the budget (their exact cost is unknown beyond that).
+    Both maps are read-only.
     """
 
     received: tuple
@@ -167,6 +167,11 @@ class Estimate:
     pairs: Mapping
     over_budget: frozenset
     witnesses: Optional[Mapping] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", MappingProxyType(dict(self.pairs)))
+        if self.witnesses is not None:
+            object.__setattr__(self, "witnesses", MappingProxyType(dict(self.witnesses)))
 
     def states(self) -> frozenset:
         return frozenset(self.pairs)
@@ -238,52 +243,56 @@ def estimate_least_cost(
     check_budget(budget)
     model.validate_against(plant)
     matching = build_matching_automaton(received, model, alphabet=plant.observable)
-    loop = [(label, label_cost(label, model)) for label in matching.loop_labels()]
+    posts = plant.posts
+    loop = [(d, label_cost(d, model), posts[(d.symbol,)]) for d in matching.loop_labels()]
     bound = budget + 1
 
-    # parents[(stage, state)] = (label, prev_state, prev_stage); only for witness mode
+    # over state indices: parents[(stage, x)] = (label, prev_x, prev_stage); only for witness mode
     parents: dict = {}
 
     def relax_deletions(dist: dict, stage: int) -> dict:
         if not loop:
             return dist
-        heap = [(cost, sort_key(state), state) for state, cost in dist.items()]
+        heap = [(cost, x) for x, cost in dist.items()]
         heapq.heapify(heap)
         while heap:
-            cost, _k, state = heapq.heappop(heap)
-            if cost > dist.get(state, bound):
+            cost, x = heapq.heappop(heap)
+            if cost > dist.get(x, bound):
                 continue
-            for label, del_cost in loop:
+            for label, del_cost, post in loop:
                 new_cost = min(cost + del_cost, bound)
-                for target in sorted(plant.reach((state,), (label.symbol,)), key=sort_key):
+                for target in post[x]:
                     if new_cost < dist.get(target, bound + 1):
                         dist[target] = new_cost
                         if witness:
-                            parents[(stage, target)] = (label, state, stage)
-                        heapq.heappush(heap, (new_cost, sort_key(target), target))
+                            parents[(stage, target)] = (label, x, stage)
+                        heapq.heappush(heap, (new_cost, target))
         return dist
 
-    dist = {state: 0 for state in plant.unobservable_closure(plant.initial)}
+    dist = {plant.index[state]: 0 for state in plant.unobservable_closure(plant.initial)}
     dist = relax_deletions(dist, 0)
     for stage in range(matching.final_stage):
+        ranked = sorted((cost, x) for x, cost in dist.items())
         nxt: dict = {}
         for label in matching.advancing_labels(stage):
             delta = label_cost(label, model)
-            for state, cost in sorted(dist.items(), key=lambda kv: (kv[1], sort_key(kv[0]))):
+            post = posts[project_original((label,))]
+            for cost, x in ranked:
                 new_cost = min(cost + delta, bound)
-                for target in sorted(_plant_move(plant, state, label), key=sort_key):
+                for target in post[x]:
                     if new_cost < nxt.get(target, bound + 1):
                         nxt[target] = new_cost
                         if witness:
-                            parents[(stage + 1, target)] = (label, state, stage)
+                            parents[(stage + 1, target)] = (label, x, stage)
         dist = relax_deletions(nxt, stage + 1)
 
-    pairs = {state: cost for state, cost in dist.items() if cost <= budget}
-    over = frozenset(state for state, cost in dist.items() if cost > budget)
+    pairs = {plant.order[x]: cost for x, cost in dist.items() if cost <= budget}
+    over = frozenset(plant.order[x] for x, cost in dist.items() if cost > budget)
     witnesses = None
     if witness:
         witnesses = {
-            state: _reconstruct(parents, state, matching.final_stage) for state in pairs
+            state: _reconstruct(parents, plant.index[state], matching.final_stage)
+            for state in pairs
         }
     return Estimate(
         received=matching.received,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .attacks import (
@@ -125,7 +126,8 @@ class CostedMatchingDfa:
     """Stage machine paired with a saturating cost counter.
 
     States are ``(stage, cost)`` with ``cost <= bound``; only states
-    reachable from ``(0, 0)`` are materialised.
+    reachable from ``(0, 0)`` are materialised.  The transition map is
+    read-only.
     """
 
     received: tuple
@@ -135,6 +137,9 @@ class CostedMatchingDfa:
     transitions: Mapping
 
     initial = (0, 0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "transitions", MappingProxyType(dict(self.transitions)))
 
     @property
     def final_stage(self) -> int:

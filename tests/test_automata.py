@@ -9,9 +9,12 @@ from tamperest.automata import (
     dead_reachable_state,
     plant_from_dict,
     plant_to_dict,
+    sort_key,
     unobservable_cycle,
 )
 from tamperest.errors import ValidationError
+from tamperest.estimator import estimate_least_cost
+from tamperest.matching import build_costed_matching_dfa
 
 from instances import random_plant
 
@@ -182,6 +185,19 @@ def test_reach_covers_projected_runs():
         assert landed <= plant.reach(plant.initial, plant.project(run))
 
 
+def test_posts_tabulate_reach_over_the_canonical_order():
+    rng = random.Random(17)
+    for _ in range(40):
+        plant = random_plant(rng, max_states=6)
+        assert list(plant.order) == sorted(plant.states, key=sort_key)
+        assert all(plant.order[plant.index[state]] == state for state in plant.states)
+        assert set(plant.posts) == {()} | {(symbol,) for symbol in plant.observable}
+        for word, post in plant.posts.items():
+            for x, state in enumerate(plant.order):
+                expected = sorted(plant.index[t] for t in plant.reach((state,), word))
+                assert list(post[x]) == expected
+
+
 # -- observer -----------------------------------------------------------------
 
 
@@ -307,6 +323,24 @@ def test_unobservable_cycle_witness_closes():
         assert left[2] == right[0]
 
 
+def test_unobservable_cycle_exists_exactly_when_a_reachable_state_reenters_silently():
+    rng = random.Random(19)
+    for _ in range(60):
+        plant = random_plant(rng, max_states=6)
+        reachable = plant.reachable_states()
+        silent = {(s, e, d) for (s, e, d) in plant.transitions if e in plant.unobservable}
+        reenters = any(
+            state in plant.unobservable_closure({d for (s, _e, d) in silent if s == state})
+            for state in reachable
+        )
+        cycle = unobservable_cycle(plant)
+        assert (cycle is not None) == reenters
+        if cycle is not None:
+            assert set(cycle) <= silent
+            assert cycle[0][0] in reachable and cycle[0][0] == cycle[-1][2]
+            assert all(left[2] == right[0] for left, right in zip(cycle, cycle[1:]))
+
+
 def test_self_loop_is_live():
     plant = toy([(0, "a", 0)], unobservable=())
     assert dead_reachable_state(plant) is None
@@ -351,3 +385,23 @@ def test_plant_from_dict_rejects_bad_transition():
     data["transitions"] = [{"from": 0, "to": 0}]
     with pytest.raises(ValidationError):
         plant_from_dict(data)
+
+
+def test_results_and_plant_tables_are_read_only(estimation_plant, estimation_costs):
+    estimate = estimate_least_cost(
+        estimation_plant, estimation_costs, ("β", "α", "α"), 2, witness=True
+    )
+    dfa = build_costed_matching_dfa(("β",), estimation_costs, 3)
+    maps = [
+        estimate.pairs,
+        estimate.witnesses,
+        build_observer(estimation_plant).transitions,
+        dfa.transitions,
+        estimation_plant.index,
+        estimation_plant.posts,
+        estimation_plant.order,
+        estimation_plant.posts[()],
+    ]
+    for table in maps:
+        with pytest.raises(TypeError):
+            table[99] = 1

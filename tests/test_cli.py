@@ -281,6 +281,16 @@ def test_malformed_plants_exit_2(capsys, tmp_path):
         (plant(transitions=({"from": 1, "event": "a", "to": {"x": 2}},)), unhashable),
         (plant(states=(1, True, 1.0), initial=(2,)), "distinct"),
         (plant(states=(1, 2, 1)), "distinct"),
+        (plant(initial=(True,)), "true names no declared state"),
+        (plant(transitions=({"from": 1.0, "event": "a", "to": 2},)), "1.0 names no declared state"),
+        (plant(transitions=({"from": 1, "event": "a", "to": True},)), "true names no declared"),
+        (
+            plant(transitions=(
+                {"from": 1.0, "event": "a", "to": 2}, {"from": 1, "event": "a", "to": 2},
+            )),
+            "1.0 names no declared state",
+        ),
+        (plant(transitions=({"from": 1, "event": "a", "to": 2},) * 2), "must not repeat"),
     ]
     path = tmp_path / "plant.json"
     for data, message in cases:

@@ -1,5 +1,11 @@
 """CLI output on the bundled fixtures, byte for byte against `tests/golden/`.
 
+Every bundled fixture numbers its states with ints, so one more plant,
+`tests/golden/inputs/mixed_plant.json`, mixes float, int and str states and
+has cost ties that the canonical state order (`sort_key`) breaks: ordering
+the states by `str`, by `repr` or by numeric value changes every one of its
+witnesses.
+
 Regenerate the files (only when an output change is intended) with::
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -15,6 +21,8 @@ from tamperest import fixtures
 from tamperest.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+MIXED = ("--plant", str(GOLDEN / "inputs" / "mixed_plant.json"),
+         "--attacks", str(GOLDEN / "inputs" / "mixed_costs.json"))
 
 
 def _inputs(plant: str, costs: str) -> tuple:
@@ -40,6 +48,11 @@ def _cases() -> dict:
     )
     cases["diagnose_defeatable_b2_dot"] = (("diagnose", *defeatable, "--budget", "2"), True)
     cases["cmin_defeatable_dot"] = (("cmin", *defeatable), True)
+    for budget in (1, 2):
+        argv = ("estimate", *MIXED, "--obs", "a b", "--budget", str(budget), "--witness")
+        cases[f"estimate_mixed_b{budget}"] = (argv, False)
+    cases["diagnose_mixed_b1"] = (("diagnose", *MIXED, "--budget", "1", "--witness"), False)
+    cases["cmin_mixed"] = (("cmin", *MIXED, "--witness"), False)
     return cases
 
 

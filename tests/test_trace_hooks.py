@@ -1,6 +1,11 @@
-"""The traced benchmark run wraps names in `tamperest` modules; they must all exist."""
+"""The traced benchmark run wraps names in `tamperest` modules; they must all exist and fire."""
 
+import contextlib
+import io
 from pathlib import Path
+
+from tamperest import fixtures
+from tamperest.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -14,3 +19,24 @@ def test_benchmark_trace_hooks_install(monkeypatch):
         tracing.install(tracer)
     finally:
         tracer.unpatch()
+
+
+def test_traced_commands_record_their_spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    def inputs(name):
+        return ["--plant", str(fixtures.plant_path(name)), "--attacks", str(fixtures.costs_path(name))]
+
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            obs = ["--obs", "β α α", "--budget", "2", "--witness"]
+            assert main(["estimate", *inputs("estimation"), *obs]) == 0
+            assert main(["cmin", *inputs("defeatable")]) == 0
+    finally:
+        tracer.unpatch()
+    spans = {span[0] for span in tracer.spans}
+    assert {"estimator.estimate", "cmin.analyze"} <= spans
+    assert tracer.calls["automata.reach"] > 0
