@@ -64,10 +64,6 @@ def render_label(label: Label) -> str:
     return f"t_{label.original}→{label.observed}"
 
 
-def render_labels(labels: Sequence[Label]) -> str:
-    return " ".join(render_label(l) for l in labels) if labels else "ε"
-
-
 def label_to_dict(label: Label) -> dict:
     if isinstance(label, Plain):
         return {"type": "plain", "symbol": label.symbol}

@@ -344,7 +344,11 @@ def plant_from_dict(data: dict) -> PlantNfa:
         )
     if len(sets["transitions"]) != len(transitions):
         raise ValidationError("plant transitions must not repeat")
-    return PlantNfa(**sets)
+    plant = PlantNfa(**sets)
+    for key in ("initial", "observable", "unobservable", "faults"):
+        if len(sets[key]) != len(data[key]):
+            raise ValidationError(f"plant {key!r} entries must not repeat")
+    return plant
 
 
 def plant_to_dict(plant: PlantNfa) -> dict:

@@ -7,7 +7,14 @@ reachable dead state or cycle of unobservable events).  ``diagnose --budget
 C`` is non-diagnosable exactly when ``cmin <= C``; witnesses show a deleted
 symbol as ``ε``.
 
-Output is canonical: identical inputs produce byte-identical output.
+Output is canonical: identical inputs produce byte-identical output.  JSON
+goes through `_dumps`, which renders exactly what ``json.dumps(value,
+ensure_ascii=False, sort_keys=True, indent=2)`` would, but joins the
+indentation by hand around C-encoded leaves (with ``indent`` set, the
+standard library falls back to its pure-Python encoder) and renders a
+container of scalars once however often the payload repeats it.  ``estimate
+--witness`` shares one dict and one rendering per distinct attack label, so
+a witness costs about what its distinct labels cost.
 """
 
 from __future__ import annotations
@@ -15,9 +22,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import defaultdict
+from json.encoder import encode_basestring
 
 from . import dot
-from .attacks import AttackModel, label_to_dict, load_model, render_labels
+from .attacks import AttackModel, label_to_dict, load_model, render_label
 from .automata import build_observer, load_plant, sort_key
 from .cmin import analyze_minimum_budget, build_corrupted_automaton, build_costed_twin_verifier
 from .diagnoser import side_run, verify_diagnosability
@@ -29,8 +38,52 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _dumps(value, pad: str = "\n") -> str:
+    """``json.dumps(value, ensure_ascii=False, sort_keys=True, indent=2)``, byte for byte.
+
+    `pad` is the newline and indentation that close `value`; each item sits
+    two spaces deeper.  Dict keys must be strings, as in every payload the
+    CLI builds.  Str leaves go through the C `encode_basestring`, exact ints
+    through `int.__repr__` and other scalars through `json.dumps`.  The text
+    of a container whose values are all scalars is kept per ``(pad, id)``,
+    so an object the payload repeats is rendered once per depth.
+    """
+    memo = defaultdict(dict)  # pad -> {id(container of scalars): its text}
+
+    def render(value, pad: str) -> str:
+        if isinstance(value, str):
+            return encode_basestring(value)
+        if type(value) is int:
+            return int.__repr__(value)
+        if not isinstance(value, _CONTAINERS):
+            return json.dumps(value)
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        inner = pad + "  "
+        known = memo[inner]
+        if isinstance(value, dict):
+            values = value.values()
+            parts = [
+                encode_basestring(k) + ": " + (known.get(id(v)) or render(v, inner))
+                for k, v in sorted(value.items())
+            ]
+            text = "{" + inner + ("," + inner).join(parts) + pad + "}"
+        else:
+            values = value
+            parts = [known.get(id(v)) or render(v, inner) for v in value]
+            text = "[" + inner + ("," + inner).join(parts) + pad + "]"
+        if not any(isinstance(v, _CONTAINERS) for v in values):
+            memo[pad][id(value)] = text
+        return text
+
+    return render(value, pad)
+
+
 def _emit(payload: dict):
-    sys.stdout.write(json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_dumps(payload) + "\n")
 
 
 def _fail(code: int, message: str, **details) -> int:
@@ -110,12 +163,22 @@ def _cmd_estimate(args) -> int:
         plant, model, observation, args.budget, witness=args.witness
     )
     entries = []
+    # id(label) -> its dict and its rendering, one of each per distinct label
+    dicts: dict = {}
+    texts: dict = {}
+    distinct: dict = {}
     for state, cost in estimate.sorted_pairs():
         entry = {"state": state, "cost": cost}
         if args.witness:
             labels = estimate.witnesses[state]
-            entry["witness"] = [label_to_dict(l) for l in labels]
-            entry["explanation"] = render_labels(labels)
+            keys = list(map(id, labels))
+            for key, label in zip(keys, labels):
+                if key not in dicts:
+                    if label not in distinct:
+                        distinct[label] = (label_to_dict(label), render_label(label))
+                    dicts[key], texts[key] = distinct[label]
+            entry["witness"] = list(map(dicts.__getitem__, keys))
+            entry["explanation"] = " ".join(map(texts.__getitem__, keys)) if keys else "ε"
         entries.append(entry)
     payload = {
         "received": list(observation),

@@ -237,8 +237,10 @@ def estimate_least_cost(
     Keeps one saturating cost per (plant state, stage): advancing labels move
     to the next stage, deletion labels are relaxed to a fixed point within a
     stage (each deletion costs at least one unit, so the relaxation
-    terminates).  With `witness` set, one cheapest label sequence per
-    estimated state is reconstructed.
+    terminates).  With `witness` set, each improvement records its label and
+    predecessor in the dict of its stage, and `_reconstruct` reads one
+    cheapest label sequence per estimated state off those dicts; without it,
+    no parent is recorded.
     """
     check_budget(budget)
     model.validate_against(plant)
@@ -247,12 +249,13 @@ def estimate_least_cost(
     loop = [(d, label_cost(d, model), posts[(d.symbol,)]) for d in matching.loop_labels()]
     bound = budget + 1
 
-    # over state indices: parents[(stage, x)] = (label, prev_x, prev_stage); only for witness mode
-    parents: dict = {}
+    # witness mode only: parents[stage][x] = (label, prev_x, prev_stage), over state indices
+    parents = [{} for _ in range(matching.final_stage + 1)] if witness else None
 
     def relax_deletions(dist: dict, stage: int) -> dict:
         if not loop:
             return dist
+        back = parents[stage] if witness else None
         heap = [(cost, x) for x, cost in dist.items()]
         heapq.heapify(heap)
         while heap:
@@ -265,7 +268,7 @@ def estimate_least_cost(
                     if new_cost < dist.get(target, bound + 1):
                         dist[target] = new_cost
                         if witness:
-                            parents[(stage, target)] = (label, x, stage)
+                            back[target] = (label, x, stage)
                         heapq.heappush(heap, (new_cost, target))
         return dist
 
@@ -273,6 +276,7 @@ def estimate_least_cost(
     dist = relax_deletions(dist, 0)
     for stage in range(matching.final_stage):
         ranked = sorted((cost, x) for x, cost in dist.items())
+        back = parents[stage + 1] if witness else None
         nxt: dict = {}
         for label in matching.advancing_labels(stage):
             delta = label_cost(label, model)
@@ -283,17 +287,15 @@ def estimate_least_cost(
                     if new_cost < nxt.get(target, bound + 1):
                         nxt[target] = new_cost
                         if witness:
-                            parents[(stage + 1, target)] = (label, x, stage)
+                            back[target] = (label, x, stage)
         dist = relax_deletions(nxt, stage + 1)
 
     pairs = {plant.order[x]: cost for x, cost in dist.items() if cost <= budget}
     over = frozenset(plant.order[x] for x, cost in dist.items() if cost > budget)
     witnesses = None
     if witness:
-        witnesses = {
-            state: _reconstruct(parents, plant.index[state], matching.final_stage)
-            for state in pairs
-        }
+        final = [plant.index[state] for state in pairs]
+        witnesses = dict(zip(pairs, _reconstruct(parents, final, matching.final_stage)))
     return Estimate(
         received=matching.received,
         budget=budget,
@@ -303,10 +305,44 @@ def estimate_least_cost(
     )
 
 
-def _reconstruct(parents: dict, state, stage: int) -> tuple:
-    labels = []
-    while (stage, state) in parents:
-        label, state, stage = parents[(stage, state)]
-        labels.append(label)
-    labels.reverse()
-    return tuple(labels)
+def _reconstruct(parents: list, targets: list, stage: int) -> list:
+    """The label tuple that leads to each of `targets` at `stage`, in order.
+
+    Walks each target's parent chain (`parents[stage][x]`, as the sweep
+    recorded it) up to an initial state.  Chains of different targets merge,
+    so a first pass marks the nodes ``(stage, x)`` where a second chain
+    joins one already walked; the second pass keeps the label tuple of each
+    such node, and every later chain stops there and extends it.  The work
+    is then bounded by the labels returned, however the chains merge, and no
+    step recurses.
+    """
+    seen, shared = set(), set()
+    for x in targets:
+        node = (stage, x)
+        while node not in seen:
+            seen.add(node)
+            step = parents[node[0]].get(node[1])
+            if step is None:
+                break
+            node = step[2], step[1]
+        else:
+            shared.add(node)
+    prefixes: dict = {}
+    out = []
+    for x in targets:
+        node, chain = (stage, x), []
+        while node not in prefixes:
+            step = parents[node[0]].get(node[1])
+            if step is None:
+                break
+            chain.append((node, step[0]))
+            node = step[2], step[1]
+        labels = prefixes.get(node, ())
+        run = []
+        for node, label in reversed(chain):
+            run.append(label)
+            if node in shared:
+                labels = prefixes[node] = labels + tuple(run)
+                run = []
+        out.append(labels + tuple(run))
+    return out

@@ -4,9 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import tamperest
 from tamperest import fixtures
-from tamperest.cli import main
+from tamperest.cli import _dumps, main
 
 EST_PLANT = str(fixtures.plant_path("estimation"))
 EST_COSTS = str(fixtures.costs_path("estimation"))
@@ -265,10 +268,12 @@ def test_mismatched_attack_table_exits_2(capsys, tmp_path):
 
 
 def test_malformed_plants_exit_2(capsys, tmp_path):
-    def plant(states=(1, 2), initial=(1,), transitions=(), observable=("a",)):
+    def plant(states=(1, 2), initial=(1,), transitions=(), observable=("a",), unobservable=(),
+              faults=()):
         return {
-            "states": list(states), "observable": list(observable), "unobservable": [],
-            "faults": [], "initial": list(initial), "transitions": list(transitions),
+            "states": list(states), "observable": list(observable),
+            "unobservable": list(unobservable), "faults": list(faults),
+            "initial": list(initial), "transitions": list(transitions),
         }
 
     unhashable = "must be strings or numbers"
@@ -291,6 +296,10 @@ def test_malformed_plants_exit_2(capsys, tmp_path):
             "1.0 names no declared state",
         ),
         (plant(transitions=({"from": 1, "event": "a", "to": 2},) * 2), "must not repeat"),
+        (plant(initial=(1, 1)), "'initial' entries must not repeat"),
+        (plant(observable=("a", "a")), "'observable' entries must not repeat"),
+        (plant(unobservable=("u", "u")), "'unobservable' entries must not repeat"),
+        (plant(unobservable=("u",), faults=("u", "u")), "'faults' entries must not repeat"),
     ]
     path = tmp_path / "plant.json"
     for data, message in cases:
@@ -495,6 +504,54 @@ def test_optimized_interpreter_prints_the_same(tmp_path):
     estimate = ("estimate", "--plant", EST_PLANT, "--attacks", EST_COSTS,
                 "--obs", "β α α", "--budget", "2", "--witness")
     assert run(["-O"], *estimate) == run([], *estimate)
+
+
+def test_package_runs_as_a_module(capsys):
+    """``python -m tamperest`` exits and prints as `main` does in-process."""
+    src = str(Path(tamperest.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
+    argv = ("estimate", "--plant", EST_PLANT, "--attacks", EST_COSTS,
+            "--obs", "β α α", "--budget", "2", "--witness")
+    result = subprocess.run(
+        [sys.executable, "-m", "tamperest", *argv], capture_output=True, encoding="utf-8", env=env
+    )
+    code, out, _err = run_cli(capsys, *argv)
+    assert (result.returncode, result.stdout) == (code, out)
+    assert code == 0 and json.loads(out)["estimates"]
+
+
+_SCALARS = st.one_of(
+    st.text(),
+    st.sampled_from(["ε", "→", 'say "hi"', "back\\slash", "\x00\x1f\n\t", "\u2028", "ε t_α→β"]),
+    st.integers(),
+    st.sampled_from([2**70, -(2**70), -1, 0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 1e16, 1.5e-7, float("nan"), float("inf"), float("-inf")]),
+    st.sampled_from([True, False, None]),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@given(_VALUES, st.dictionaries(st.text(max_size=3), _SCALARS, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_dumps_is_json_dumps_with_indent_2(value, shared):
+    """The CLI renderer is byte-identical to the standard library's indented JSON."""
+
+    def reference(v):
+        return json.dumps(v, ensure_ascii=False, sort_keys=True, indent=2)
+
+    assert _dumps(value) == reference(value)
+    # one flat dict object at several depths, as the witness fragments are shared
+    payload = {"value": value, "shared": shared, "deeper": [shared, {"again": (shared, shared)}]}
+    assert _dumps(payload) == reference(payload)
 
 
 def test_cmin_without_faults_reports_null(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from tamperest.attacks import (
     AttackModel,
+    Del,
     Plain,
     Sub,
     project_original,
@@ -218,12 +219,23 @@ def test_budget_monotonicity():
 
 def test_witnesses_explain_their_states():
     rng = random.Random(89)
-    for _ in range(30):
-        plant = random_plant(rng, max_states=5)
-        model = random_attack_model(rng)
-        word = random_observation(rng)
-        budget = rng.randint(0, 4)
+    cases = [
+        (random_plant(rng, max_states=5), random_attack_model(rng), random_observation(rng),
+         rng.randint(0, 4))
+        for _ in range(30)
+    ]
+    # deletion loops at every budget: relaxed states whose parent lies in the same stage,
+    # and parent chains that merge, so that witnesses share their prefixes
+    cases += [
+        (random_plant(rng, max_states=7), random_attack_model(rng, p_del=1.0),
+         random_observation(rng, max_len=6), budget)
+        for budget in range(4)
+        for _ in range(15)
+    ]
+    deletions = 0
+    for plant, model, word, budget in cases:
         estimate = estimate_least_cost(plant, model, word, budget, witness=True)
+        assert estimate.witnesses.keys() == estimate.pairs.keys()
         dfa = build_costed_matching_dfa(word, model, budget + 1)
         for state, cost in estimate.pairs.items():
             labels = estimate.witnesses[state]
@@ -231,6 +243,8 @@ def test_witnesses_explain_their_states():
             assert total_cost(labels, model) == cost
             assert state in plant.reach(plant.initial, project_original(labels))
             assert dfa.run(labels) == (len(word), cost)
+            deletions += sum(isinstance(label, Del) for label in labels)
+    assert deletions > 0
 
 
 def test_over_budget_states_carry_costs_just_beyond_the_budget():

@@ -53,6 +53,14 @@ def _cases() -> dict:
         cases[f"estimate_mixed_b{budget}"] = (argv, False)
     cases["diagnose_mixed_b1"] = (("diagnose", *MIXED, "--budget", "1", "--witness"), False)
     cases["cmin_mixed"] = (("cmin", *MIXED, "--witness"), False)
+    cases["estimate_mixed_b3_long"] = (
+        ("estimate", *MIXED, "--obs", "a a c a a", "--budget", "3", "--witness"), False
+    )
+    cases["estimate_estimation_empty"] = (
+        ("estimate", *estimation, "--obs", "", "--budget", "1", "--witness"), False
+    )
+    for name, plant in (("estimation", str(fixtures.plant_path("estimation"))), ("mixed", MIXED[1])):
+        cases[f"observer_{name}"] = (("observer", "--plant", plant), False)
     return cases
 
 
