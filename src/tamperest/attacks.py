@@ -13,12 +13,11 @@ automaton constructions in :mod:`tamperest.matching` cover the general case.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
-from .automata import PlantNfa, check_symbol_name
+from .automata import PlantNfa, check_symbol_name, read_json
 from .errors import ValidationError
 
 
@@ -114,18 +113,6 @@ class AttackModel:
     @classmethod
     def empty(cls) -> "AttackModel":
         return cls({}, {}, {})
-
-    @property
-    def deletable(self) -> frozenset:
-        return frozenset(self.deletions)
-
-    @property
-    def insertable(self) -> frozenset:
-        return frozenset(self.insertions)
-
-    @property
-    def substitution_pairs(self) -> frozenset:
-        return frozenset(self.substitutions)
 
     def symbols(self) -> frozenset:
         """Every observable symbol the model mentions."""
@@ -338,6 +325,4 @@ def model_to_dict(model: AttackModel) -> dict:
 
 
 def load_model(path) -> AttackModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    return model_from_dict(data)
+    return model_from_dict(read_json(path))

@@ -367,7 +367,20 @@ def plant_to_dict(plant: PlantNfa) -> dict:
     }
 
 
-def load_plant(path) -> PlantNfa:
+def read_json(path):
+    """The JSON document in the file at `path`.
+
+    Text that is not UTF-8, or nests too deeply to parse, is a
+    `ValidationError`; malformed JSON raises `json.JSONDecodeError`.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    return plant_from_dict(data)
+        try:
+            return json.load(handle)
+        except UnicodeDecodeError:
+            raise ValidationError(f"not UTF-8 text: {path}") from None
+        except RecursionError:
+            raise ValidationError(f"JSON nested too deeply: {path}") from None
+
+
+def load_plant(path) -> PlantNfa:
+    return plant_from_dict(read_json(path))

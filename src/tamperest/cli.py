@@ -322,6 +322,8 @@ def main(argv=None) -> int:
         )
     except FileNotFoundError as exc:
         return _fail(EXIT_INPUT, f"file not found: {exc.filename}")
+    except OSError as exc:
+        return _fail(EXIT_INPUT, f"cannot open {exc.filename}: {exc.strerror}")
     except (ValidationError, ConfigurationError) as exc:
         return _fail(EXIT_INPUT, str(exc))
     except PreconditionError as exc:

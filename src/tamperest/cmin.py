@@ -29,10 +29,12 @@ The same search decides diagnosability at a budget C: given ``budget=C`` it
 explores only attacks that cost each side at most C, so it finds a value
 exactly when the minimum defeating budget is at most C.
 
-The explicit constructions below the engine (`build_costed_twin_verifier`,
-`find_free_confusion_states`, `propagate_cost_labels`) are reference code:
-the tests check the engine against them, and ``--dot`` renders the verifier
-they build.
+Below the engine, `build_costed_twin_verifier` is the engine's own verifier
+made explicit, for ``--dot`` and the tests: it exhausts `_LazyTwin.steps`
+and states no move rule of its own.  `find_free_confusion_states` (one
+whole-graph SCC pass) and `propagate_cost_labels` (FIFO label correcting)
+are independent reference searches over it; the tests check the engine's
+memoized Tarjan passes and label-setting search against them.
 """
 
 from __future__ import annotations
@@ -425,85 +427,55 @@ def _vstep_sort_key(step):
 def build_costed_twin_verifier(
     corrupted: CorruptedAutomaton, faults: frozenset, budget: Optional[int] = None
 ) -> CostedTwinVerifier:
-    """Accessible twin product; pure stay/stay pairs are not materialised.
+    """The engine's twin verifier, made explicit for ``--dot`` and the tests.
 
-    With a `budget`, edge pairs on which either side costs more than the
-    budget are left out, since no attack within the budget can take them.
+    Every move comes from `_LazyTwin.steps`, exhausted from the initial
+    pairs, so the engine's rules are the only ones; pure stay/stay pairs are
+    not materialised, and with a `budget` no side pays more than it.  The
+    one edge added here is the joint ``"LR"`` unobservable move, which the
+    engine leaves out because it equals an ``L`` move then an ``R`` move: it
+    joins the left half of each ``L`` target with the right half of each
+    ``R`` target.
     """
-    plant = corrupted.plant
     faults = frozenset(faults)
-    if not faults <= plant.unobservable:
+    unobservable = corrupted.plant.unobservable
+    if not faults <= unobservable:
         raise ValidationError("fault events must be unobservable plant events")
-    initial = frozenset(
-        (x, NORMAL, y, NORMAL) for x in plant.initial for y in plant.initial
-    )
-    states = set(initial)
+    twin = _LazyTwin(corrupted, faults, budget)
+    width = twin.width
+    queue = list(twin.initial)
+    rendered = {code: twin.render(code) for code in queue}
     transitions = set()
-    queue = deque(sorted(initial, key=_vstate_sort_key))
-
-    def emit(src, tau, side, dst):
-        transitions.add((src, tau, side, dst))
-        if dst not in states:
-            states.add(dst)
-            queue.append(dst)
-
-    while queue:
-        src = queue.popleft()
-        x, l1, y, l2 = src
-        left_moves = corrupted.moves(x)
-        right_moves = corrupted.moves(y)
-        symbols = set(left_moves) | set(right_moves)
-        for symbol in sorted(symbols):
-            if symbol == EPSILON or symbol in plant.observable:
-                lefts = [(c, t) for c, t in left_moves.get(symbol, {}).items()]
-                rights = [(c, t) for c, t in right_moves.get(symbol, {}).items()]
-                if symbol == EPSILON:
-                    lefts.append((0, frozenset({x})))
-                    rights.append((0, frozenset({y})))
-                for c_left, left_targets in sorted(lefts):
-                    for c_right, right_targets in sorted(rights):
-                        if symbol == EPSILON and c_left == 0 and c_right == 0:
-                            continue
-                        if budget is not None and max(c_left, c_right) > budget:
-                            continue
-                        side = _eps_side(symbol, c_left, c_right)
-                        tau = ((symbol, c_left), (symbol, c_right))
-                        for lt in left_targets:
-                            for rt in right_targets:
-                                emit(src, tau, side, (lt, l1, rt, l2))
-                continue
-            # unobservable event: zero cost, three interleaving forms
-            fault = symbol in faults
-            new_l1 = FAULTY if fault else l1
-            new_l2 = FAULTY if fault else l2
-            tau = ((symbol, 0), (symbol, 0))
-            left_targets = left_moves.get(symbol, {}).get(0, frozenset())
-            right_targets = right_moves.get(symbol, {}).get(0, frozenset())
-            for lt in left_targets:
-                emit(src, tau, "L", (lt, new_l1, y, l2))
-            for rt in right_targets:
-                emit(src, tau, "R", (x, l1, rt, new_l2))
-            for lt in left_targets:
-                for rt in right_targets:
-                    emit(src, tau, "LR", (lt, new_l1, rt, new_l2))
-
-    if len(states) > 4 * len(plant.states) ** 2:
-        raise RuntimeError("twin verifier exceeded 4|X|^2 states")
+    for code in queue:
+        moves = list(twin.steps(code, twin.budget))
+        halves: dict = {}  # silent event -> (left halves of L targets, right halves of R targets)
+        for e, side, _c_left, _c_right, dsts in moves:
+            if twin.symbols[e] in unobservable:
+                lefts, rights = halves.setdefault(e, ([], []))
+                if side == "L":
+                    lefts.extend(dst // width for dst in dsts)
+                else:
+                    rights.extend(dst % width for dst in dsts)
+        moves += [
+            (e, "LR", 0, 0, [a * width + b for a in lefts for b in rights])
+            for e, (lefts, rights) in halves.items()
+        ]
+        src = rendered[code]
+        for e, side, c_left, c_right, dsts in moves:
+            symbol = twin.symbols[e]
+            tau = ((symbol, c_left), (symbol, c_right))
+            for dst in dsts:
+                if dst not in rendered:
+                    rendered[dst] = twin.render(dst)
+                    queue.append(dst)
+                transitions.add((src, tau, side, rendered[dst]))
     return CostedTwinVerifier(
         source=corrupted,
         faults=faults,
-        states=frozenset(states),
-        initial=initial,
+        states=frozenset(rendered.values()),
+        initial=frozenset(rendered[code] for code in twin.initial),
         transitions=frozenset(transitions),
     )
-
-
-def _eps_side(symbol: str, c_left: int, c_right: int) -> str:
-    if symbol != EPSILON:
-        return "LR"
-    if c_left > 0 and c_right > 0:
-        return "LR"
-    return "L" if c_left > 0 else "R"
 
 
 def step_costs(step) -> CostPair:

@@ -256,6 +256,44 @@ def test_missing_file_exits_2(capsys):
     assert "not found" in json.loads(err)["error"]
 
 
+def _one_json_error(err) -> str:
+    lines = err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]
+
+
+def test_directory_as_plant_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "cmin", "--plant", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert "Is a directory" in _one_json_error(err)
+
+
+def test_directory_as_dot_target_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "cmin", "--plant", DEFE_PLANT, "--attacks", DEFE_COSTS, "--dot", str(tmp_path)
+    )
+    assert code == 2
+    assert json.loads(out) == {"cmin": 2}  # the verdict was written before the DOT file
+    assert "Is a directory" in _one_json_error(err)
+
+
+def test_non_utf8_input_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"deletions": {"é": 1}}'.encode("latin-1"))
+    for argv in (("--plant", str(path)), ("--plant", DEFE_PLANT, "--attacks", str(path))):
+        code, out, err = run_cli(capsys, "cmin", *argv)
+        assert (code, out) == (2, "")
+        assert _one_json_error(err) == f"not UTF-8 text: {path}"
+
+
+def test_too_deeply_nested_plant_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, "cmin", "--plant", str(path))
+    assert (code, out) == (2, "")
+    assert _one_json_error(err) == f"JSON nested too deeply: {path}"
+
+
 def test_mismatched_attack_table_exits_2(capsys, tmp_path):
     costs = tmp_path / "costs.json"
     costs.write_text(json.dumps({"deletions": {"zzz": 1}}))

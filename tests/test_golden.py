@@ -48,11 +48,14 @@ def _cases() -> dict:
     )
     cases["diagnose_defeatable_b2_dot"] = (("diagnose", *defeatable, "--budget", "2"), True)
     cases["cmin_defeatable_dot"] = (("cmin", *defeatable), True)
+    cases["cmin_confusable_dot"] = (("cmin", *_inputs("confusable", "empty")), True)
     for budget in (1, 2):
         argv = ("estimate", *MIXED, "--obs", "a b", "--budget", str(budget), "--witness")
         cases[f"estimate_mixed_b{budget}"] = (argv, False)
     cases["diagnose_mixed_b1"] = (("diagnose", *MIXED, "--budget", "1", "--witness"), False)
     cases["cmin_mixed"] = (("cmin", *MIXED, "--witness"), False)
+    cases["diagnose_mixed_b1_dot"] = (("diagnose", *MIXED, "--budget", "1"), True)
+    cases["cmin_mixed_dot"] = (("cmin", *MIXED), True)
     cases["estimate_mixed_b3_long"] = (
         ("estimate", *MIXED, "--obs", "a a c a a", "--budget", "3", "--witness"), False
     )

@@ -1,7 +1,9 @@
+import ast
 import random
 
 import pytest
 
+import tamperest.oracle
 from tamperest.attacks import AttackModel
 from tamperest.errors import OracleBudgetError
 from tamperest.oracle import (
@@ -14,6 +16,28 @@ from tamperest.oracle import (
 from instances import random_plant
 
 WIDE = OracleBudget(max_states=8)
+
+
+def test_oracle_imports_no_engine_module():
+    """The oracle checks the engines only while it shares none of their code."""
+    tree = ast.parse(open(tamperest.oracle.__file__, encoding="utf-8").read())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            prefix = "tamperest." if node.level else ""
+            if node.module is None:  # from . import name
+                modules.update(prefix + alias.name for alias in node.names)
+            else:
+                modules.add(prefix + node.module)
+    package = {
+        name.partition(".")[2].split(".")[0]
+        for name in modules
+        if name.split(".")[0] == "tamperest"
+    }
+    assert package == {"attacks", "automata", "errors"}
+    assert not package & {"cmin", "diagnoser", "estimator", "matching", "scc"}
 
 
 def test_estimate_reduces_to_the_observer(estimation_plant, empty_model):
