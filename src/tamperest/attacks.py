@@ -119,28 +119,6 @@ class AttackModel:
         subs = {s for pair in self.substitutions for s in pair}
         return frozenset(self.deletions) | frozenset(self.insertions) | frozenset(subs)
 
-    def is_empty(self) -> bool:
-        return not (self.deletions or self.insertions or self.substitutions)
-
-    # -- validated label factories ---------------------------------------
-
-    def del_label(self, symbol: str) -> Del:
-        if symbol not in self.deletions:
-            raise ValidationError(f"{symbol!r} is not deletable under this model")
-        return Del(symbol)
-
-    def ins_label(self, symbol: str) -> Ins:
-        if symbol not in self.insertions:
-            raise ValidationError(f"{symbol!r} is not insertable under this model")
-        return Ins(symbol)
-
-    def sub_label(self, original: str, observed: str) -> Sub:
-        if (original, observed) not in self.substitutions:
-            raise ValidationError(
-                f"substitution {original!r} -> {observed!r} is not allowed under this model"
-            )
-        return Sub(original, observed)
-
     def validate_against(self, plant: PlantNfa):
         """Check that every attacked symbol is observable in `plant`."""
         stray = self.symbols() - plant.observable

@@ -2,8 +2,8 @@
 
 Subcommands: ``observer``, ``estimate``, ``diagnose``, ``cmin``,
 ``export-dot``.  Exit codes: 0 success, 2 input/validation error,
-3 structural-precondition violation (``diagnose`` on a plant with a
-reachable dead state or cycle of unobservable events).  ``diagnose --budget
+3 structural-precondition violation (``diagnose`` or ``cmin`` on a plant
+with a reachable dead state or cycle of unobservable events).  ``diagnose --budget
 C`` is non-diagnosable exactly when ``cmin <= C``; witnesses show a deleted
 symbol as ``ε``.
 
@@ -28,8 +28,13 @@ from json.encoder import encode_basestring
 from . import dot
 from .attacks import AttackModel, label_to_dict, load_model, render_label
 from .automata import build_observer, load_plant, sort_key
-from .cmin import analyze_minimum_budget, build_corrupted_automaton, build_costed_twin_verifier
-from .diagnoser import side_run, verify_diagnosability
+from .cmin import (
+    analyze_minimum_budget,
+    build_corrupted_automaton,
+    build_costed_twin_verifier,
+    side_run,
+)
+from .diagnoser import verify_diagnosability
 from .errors import ConfigurationError, PreconditionError, ValidationError
 from .estimator import estimate_least_cost, reduced_product
 
@@ -94,17 +99,10 @@ def _fail(code: int, message: str, **details) -> int:
 
 
 def _load_inputs(args):
+    """Plant, attack model and ``--faults``; the analyses validate them."""
     plant = load_plant(args.plant)
     model = AttackModel.empty() if getattr(args, "attacks", None) is None else load_model(args.attacks)
-    model.validate_against(plant)
-    faults = None
-    if getattr(args, "faults", None):
-        faults = frozenset(args.faults)
-        unknown = faults - plant.unobservable
-        if unknown:
-            raise ValidationError(
-                f"fault events must be unobservable plant events, got {sorted(unknown)}"
-            )
+    faults = frozenset(args.faults) if getattr(args, "faults", None) else None
     return plant, model, faults
 
 
@@ -186,10 +184,10 @@ def _cmd_estimate(args) -> int:
         "estimates": entries,
         "over_budget": [{"state": s} for s in sorted(estimate.over_budget, key=sort_key)],
     }
-    _emit(payload)
     if args.dot:
         product = reduced_product(plant, model, observation, args.budget)
         _write_dot(args.dot, dot.product_to_dot(product))
+    _emit(payload)
     return EXIT_OK
 
 
@@ -205,7 +203,6 @@ def _witness_payload(access, cycle) -> dict:
 
 def _write_verifier_dot(path, plant, model, faults, name: str, budget=None):
     """Build the reference costed twin verifier, only for DOT export."""
-    faults = plant.faults if faults is None else faults
     verifier = build_costed_twin_verifier(
         build_corrupted_automaton(plant, model), faults, budget=budget
     )
@@ -220,9 +217,9 @@ def _cmd_diagnose(args) -> int:
     payload = {"budget": args.budget, "diagnosable": result.diagnosable}
     if args.witness and result.witness is not None:
         payload["witness"] = _witness_payload(result.witness.access, result.witness.cycle)
-    _emit(payload)
     if args.dot:
         _write_verifier_dot(args.dot, plant, model, faults, "verifier", budget=args.budget)
+    _emit(payload)
     return EXIT_OK
 
 
@@ -235,9 +232,9 @@ def _cmd_cmin(args) -> int:
         payload = {"cmin": result.value}
         if args.witness:
             payload["witness"] = _witness_payload(result.witness, result.cycle)
-    _emit(payload)
     if args.dot:
         _write_verifier_dot(args.dot, plant, model, faults, "twin")
+    _emit(payload)
     return EXIT_OK
 
 

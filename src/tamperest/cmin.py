@@ -27,7 +27,14 @@ neither reachability nor cost-free cycles.
 
 The same search decides diagnosability at a budget C: given ``budget=C`` it
 explores only attacks that cost each side at most C, so it finds a value
-exactly when the minimum defeating budget is at most C.
+exactly when the minimum defeating budget is at most C.  It is therefore
+the one checked entry for both questions.  It validates the attack model
+(in `build_corrupted_automaton`) and the fault set (in `check_faults`),
+then the standing assumptions of Sampath et al. (IEEE TAC 1995): every
+reachable plant state is live and on no cycle of unobservable events.
+Attack edges only follow plant transitions and deletions always cost, so
+checking the plant suffices.  A witness is checked to observe the same
+symbols on both sides.
 
 Below the engine, `build_costed_twin_verifier` is the engine's own verifier
 made explicit, for ``--dot`` and the tests: it exhausts `_LazyTwin.steps`
@@ -45,8 +52,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .attacks import AttackModel
-from .automata import EPSILON_DISPLAY, PlantNfa, sort_key
-from .errors import ValidationError
+from .automata import EPSILON_DISPLAY, PlantNfa, dead_reachable_state, sort_key, unobservable_cycle
+from .errors import PreconditionError, ValidationError
 from .scc import cycle_within, strongly_connected_components
 
 #: Event component of a deletion edge: nothing is observed.
@@ -64,6 +71,22 @@ def is_mismatched(state) -> bool:
 
 def render_symbol(symbol: str) -> str:
     return EPSILON_DISPLAY if symbol == EPSILON else symbol
+
+
+def side_run(steps: Sequence, side: str) -> tuple:
+    """Symbols observed on one side (``"L"`` or ``"R"``) along twin-verifier steps."""
+    return tuple(render_symbol(tau[0][0]) for (_src, tau, moved, _dst) in steps if side in moved)
+
+
+def check_faults(plant: PlantNfa, faults: Optional[frozenset]) -> frozenset:
+    """`faults`, or the plant's own when None; each must be an unobservable plant event."""
+    faults = frozenset(plant.faults if faults is None else faults)
+    unknown = faults - plant.unobservable
+    if unknown:
+        raise ValidationError(
+            f"fault events must be unobservable plant events, got {sorted(unknown)}"
+        )
+    return faults
 
 
 class CostPair(NamedTuple):
@@ -155,11 +178,26 @@ def analyze_minimum_budget(
     such state exists.  With a `budget`, only attacks costing each side at
     most `budget` are explored, so the value is None unless the minimum is
     at most `budget`.
+
+    Inputs, preconditions and witnesses are checked as the module docstring
+    says; a plant outside the class raises :class:`PreconditionError`.
     """
-    faults = frozenset(plant.faults if faults is None else faults)
     corrupted = build_corrupted_automaton(plant, model)
-    if not faults <= plant.unobservable:
-        raise ValidationError("fault events must be unobservable plant events")
+    faults = check_faults(plant, faults)
+    dead = dead_reachable_state(plant)
+    if dead is not None:
+        raise PreconditionError(
+            f"plant is not live: state {dead!r} has no outgoing transition",
+            kind="liveness",
+            witness=dead,
+        )
+    silent_cycle = unobservable_cycle(plant)
+    if silent_cycle is not None:
+        raise PreconditionError(
+            "plant has a cycle of unobservable events",
+            kind="unobservable-cycle",
+            witness=silent_cycle,
+        )
     twin = _LazyTwin(corrupted, faults, budget)
     label = twin.cheapest_ending_label()
     if label is None:
@@ -167,9 +205,13 @@ def analyze_minimum_budget(
     code, left, right, _parent = twin.labels[label]
     if not want_witness:
         return CminResult(value=max(left, right))
-    return CminResult(
-        value=max(left, right), witness=twin.access_steps(label), cycle=twin.cycle_steps(code)
-    )
+    access, cycle = twin.access_steps(label), twin.cycle_steps(code)
+    observed = [
+        [e for e in side_run(access + cycle, side) if e in plant.observable] for side in "LR"
+    ]
+    if observed[0] != observed[1]:
+        raise RuntimeError("verifier runs must agree on observations")
+    return CminResult(value=max(left, right), witness=access, cycle=cycle)
 
 
 #: Label bit of one side of an interned twin state; bit order is label order.
@@ -437,10 +479,8 @@ def build_costed_twin_verifier(
     joins the left half of each ``L`` target with the right half of each
     ``R`` target.
     """
-    faults = frozenset(faults)
+    faults = check_faults(corrupted.plant, faults)
     unobservable = corrupted.plant.unobservable
-    if not faults <= unobservable:
-        raise ValidationError("fault events must be unobservable plant events")
     twin = _LazyTwin(corrupted, faults, budget)
     width = twin.width
     queue = list(twin.initial)

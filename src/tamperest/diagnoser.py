@@ -1,8 +1,11 @@
 """Tamper-tolerant diagnosability under a cost-bounded attacker.
 
 The system is non-diagnosable at budget C exactly when its minimum defeating
-budget is at most C, so `verify_diagnosability` runs the costed twin-verifier
-search of :mod:`tamperest.cmin` cut off at C.
+budget is at most C, so `verify_diagnosability` checks the budget and runs
+the costed twin-verifier search of :mod:`tamperest.cmin` cut off at C.  That
+search owns every other check (attack model, fault set, liveness, no cycle
+of unobservable events, witness runs agreeing on observations), so both
+questions accept and refuse the same plants.
 
 Reference only, for the tests: the cost-layered verifier.  The plant is
 augmented with the attacker's actions: states become ``(plant_state, spent)``
@@ -21,9 +24,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .attacks import AttackModel, check_budget
-from .automata import PlantNfa, dead_reachable_state, sort_key, unobservable_cycle
-from .cmin import FAULTY, NORMAL, analyze_minimum_budget, is_mismatched, render_symbol
-from .errors import PreconditionError, ValidationError
+from .automata import PlantNfa, sort_key
+from .cmin import FAULTY, NORMAL, analyze_minimum_budget, check_faults, is_mismatched, side_run
 from .scc import cycle_within, strongly_connected_components
 
 # -- reference only: the cost-layered twin verifier ---------------------------
@@ -177,9 +179,7 @@ def build_twin_verifier(costed: CostedPlant, faults: frozenset) -> TwinVerifier:
     (including deletion markers) move either side alone or both together;
     fault events additionally set the moved side's label to ``F``.
     """
-    faults = frozenset(faults)
-    if not faults <= costed.plant.unobservable:
-        raise ValidationError("fault events must be unobservable plant events")
+    faults = check_faults(costed.plant, faults)
     initial = frozenset(
         (x, NORMAL, y, NORMAL) for x in costed.initial for y in costed.initial
     )
@@ -319,11 +319,6 @@ class DiagnosisResult:
     witness: Optional[DiagnosisWitness] = None
 
 
-def side_run(steps: Sequence, side: str) -> tuple:
-    """Symbols observed on one side (``"L"`` or ``"R"``) along twin-verifier steps."""
-    return tuple(render_symbol(tau[0][0]) for (_src, tau, moved, _dst) in steps if side in moved)
-
-
 def verify_diagnosability(
     plant: PlantNfa,
     model: AttackModel,
@@ -336,30 +331,12 @@ def verify_diagnosability(
     The attacker may spend up to `budget` on each of the two runs, so the
     verdict is False exactly when the minimum defeating budget is at most
     `budget`; it then comes with a faulty and a fault-free run that stay
-    observation-equivalent forever.  A reachable dead plant state or cycle
-    of unobservable events raises :class:`PreconditionError` (attack edges
-    only follow plant transitions and deletions always cost, so the attacked
-    plant has neither exactly when the plant has neither).
+    observation-equivalent forever.  The model, the fault set and the plant
+    preconditions are checked by `analyze_minimum_budget`, which raises
+    :class:`PreconditionError` on a reachable dead plant state or cycle of
+    unobservable events.
     """
     check_budget(budget)
-    faults = frozenset(plant.faults if faults is None else faults)
-    if not faults <= plant.unobservable:
-        raise ValidationError("fault events must be unobservable plant events")
-    model.validate_against(plant)
-    dead = dead_reachable_state(plant)
-    if dead is not None:
-        raise PreconditionError(
-            f"plant is not live: state {dead!r} has no outgoing transition",
-            kind="liveness",
-            witness=dead,
-        )
-    silent_cycle = unobservable_cycle(plant)
-    if silent_cycle is not None:
-        raise PreconditionError(
-            "plant has a cycle of unobservable events",
-            kind="unobservable-cycle",
-            witness=silent_cycle,
-        )
     found = analyze_minimum_budget(
         plant, model, faults, want_witness=want_witness, budget=budget
     )
@@ -368,11 +345,10 @@ def verify_diagnosability(
     witness = None
     if want_witness:
         steps = found.witness + found.cycle
-        left_run, right_run = side_run(steps, "L"), side_run(steps, "R")
-        observable = plant.observable
-        if [e for e in left_run if e in observable] != [e for e in right_run if e in observable]:
-            raise RuntimeError("verifier runs must agree on observations")
         witness = DiagnosisWitness(
-            access=found.witness, cycle=found.cycle, left_run=left_run, right_run=right_run
+            access=found.witness,
+            cycle=found.cycle,
+            left_run=side_run(steps, "L"),
+            right_run=side_run(steps, "R"),
         )
     return DiagnosisResult(diagnosable=False, budget=budget, witness=witness)

@@ -111,43 +111,31 @@ def build_product(plant: PlantNfa, dfa: CostedMatchingDfa) -> ProductAutomaton:
 
 
 def reduce_product(product: ProductAutomaton) -> ProductAutomaton:
-    """Keep only the cheapest copy of each (plant state, stage); re-take the accessible part."""
+    """Keep only the cheapest copy of each (plant state, stage).
+
+    What is kept stays accessible: a run into a cheapest copy that passes a
+    dearer copy of some (state, stage) can take the cheapest copy instead,
+    which reaches the same target at no higher (saturated) cost.
+    """
     cheapest: dict = {}
     for (state, stage, cost) in product.states:
         key = (state, stage)
         if cost < cheapest.get(key, cost + 1):
             cheapest[key] = cost
-    kept = {
+    kept = frozenset(
         (state, stage, cost)
         for (state, stage, cost) in product.states
         if cheapest[(state, stage)] == cost
-    }
-    edges = {
-        (src, label, dst)
-        for (src, label, dst) in product.transitions
-        if src in kept and dst in kept
-    }
-    outgoing: dict = {}
-    for (src, label, dst) in edges:
-        outgoing.setdefault(src, []).append((label, dst))
-    initial = frozenset(s for s in product.initial if s in kept)
-    reachable = set(initial)
-    queue = deque(initial)
-    while queue:
-        src = queue.popleft()
-        for _label, dst in outgoing.get(src, ()):
-            if dst not in reachable:
-                reachable.add(dst)
-                queue.append(dst)
+    )
     return ProductAutomaton(
         plant=product.plant,
         dfa=product.dfa,
-        states=frozenset(reachable),
-        initial=initial,
+        states=kept,
+        initial=product.initial & kept,
         transitions=frozenset(
             (src, label, dst)
-            for (src, label, dst) in edges
-            if src in reachable and dst in reachable
+            for (src, label, dst) in product.transitions
+            if src in kept and dst in kept
         ),
     )
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .attacks import AttackModel, enumerate_matching, project_original
-from .automata import PlantNfa
+from .automata import PlantNfa, sort_key
 from .errors import OracleBudgetError
 
 
@@ -180,19 +180,24 @@ def _has_cycle(nodes, successors) -> bool:
 # -- twin search over the corrupted automaton ---------------------------------
 
 
+def _successors(plant, state, event) -> list:
+    """Successors in canonical order, so a search does the same work under every hash seed."""
+    return sorted(plant.successors(state, event), key=sort_key)
+
+
 def _corrupted_moves(plant, model, state):
     """(observed, cost, target) edges per the corrupted-system semantics."""
     out = []
-    for event in plant.events_at(state):
-        for target in plant.successors(state, event):
+    for event in sorted(plant.events_at(state)):
+        for target in _successors(plant, state, event):
             out.append((event, 0, target))
     for symbol, cost in model.deletions.items():
-        for target in plant.successors(state, symbol):
+        for target in _successors(plant, state, symbol):
             out.append(("", cost, target))
     for symbol, cost in model.insertions.items():
         out.append((symbol, cost, state))
     for (original, observed), cost in model.substitutions.items():
-        for target in plant.successors(state, original):
+        for target in _successors(plant, state, original):
             out.append((observed, cost, target))
     return out
 
@@ -209,7 +214,9 @@ def brute_force_minimum_budget(
     a zero-cost mismatched cycle by per-state DFS, then enumerates all simple
     paths from initial pairs to those states and minimises the larger side
     cost.  Non-negative edge costs let cycles on an access path be excised,
-    so simple paths suffice.
+    so simple paths suffice.  How many paths that takes depends on the
+    order the edges are tried in, so events and states are tried in a
+    fixed order.
     """
     faults = frozenset(plant.faults if faults is None else faults)
     _guard(len(plant.states) <= limits.max_states, "plant too large for the oracle")
@@ -220,7 +227,7 @@ def brute_force_minimum_budget(
         """((cost_left, cost_right), successor) edges of the twin graph."""
         x, lf, y, rf = pair
         edges = []
-        for symbol in plant.observable | {""}:
+        for symbol in sorted(plant.observable | {""}):
             lefts = [(c, t) for (s, c, t) in moves[x] if s == symbol]
             rights = [(c, t) for (s, c, t) in moves[y] if s == symbol]
             if symbol == "":
@@ -231,10 +238,10 @@ def brute_force_minimum_budget(
                     if symbol == "" and lc == 0 and rc == 0:
                         continue
                     edges.append(((lc, rc), (lt, lf, rt, rf)))
-        for event in plant.unobservable:
+        for event in sorted(plant.unobservable):
             raised = event in faults
-            lefts = plant.successors(x, event)
-            rights = plant.successors(y, event)
+            lefts = _successors(plant, x, event)
+            rights = _successors(plant, y, event)
             for lt in lefts:
                 edges.append(((0, 0), (lt, lf or raised, y, rf)))
             for rt in rights:
@@ -244,7 +251,8 @@ def brute_force_minimum_budget(
                     edges.append(((0, 0), (lt, lf or raised, rt, rf or raised)))
         return edges
 
-    start = [(x, False, y, False) for x in plant.initial for y in plant.initial]
+    initial = sorted(plant.initial, key=sort_key)
+    start = [(x, False, y, False) for x in initial for y in initial]
     seen = set(start)
     stack = list(start)
     edge_map = {}

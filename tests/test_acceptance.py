@@ -197,7 +197,13 @@ def test_criterion_08_minimum_defeating_budget(defeatable_plant, defeatable_cost
         assert ending == frozenset({(3, FAULTY, 5, NORMAL), (5, NORMAL, 3, FAULTY)})
         rng = random.Random(808)
         for _ in range(100):
-            plant = random_plant(rng, max_states=4, with_fault=True)
+            plant = random_plant(
+                rng,
+                max_states=4,
+                allow_unobservable_cycles=False,
+                ensure_live=True,
+                with_fault=True,
+            )
             model = random_attack_model(rng, max_cost=3, p_del=0.2, p_ins=0.2, p_sub=0.25)
             assert minimum_defeating_budget(plant, model) == brute_force_minimum_budget(
                 plant, model

@@ -56,19 +56,6 @@ def test_identity_substitution_rejected():
         AttackModel({}, {}, {("a", "a"): 1})
 
 
-def test_factories_validate_membership(estimation_costs):
-    model = estimation_costs
-    assert model.del_label(A) == Del(A)
-    assert model.ins_label(B) == Ins(B)
-    assert model.sub_label(G, A) == Sub(G, A)
-    with pytest.raises(ValidationError):
-        model.del_label(B)
-    with pytest.raises(ValidationError):
-        model.ins_label(A)
-    with pytest.raises(ValidationError):
-        model.sub_label(A, G)
-
-
 def test_validate_against_plant(estimation_plant):
     stray = AttackModel({"nope": 1}, {}, {})
     with pytest.raises(ValidationError):

@@ -272,8 +272,7 @@ def test_directory_as_dot_target_exits_2(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, "cmin", "--plant", DEFE_PLANT, "--attacks", DEFE_COSTS, "--dot", str(tmp_path)
     )
-    assert code == 2
-    assert json.loads(out) == {"cmin": 2}  # the verdict was written before the DOT file
+    assert (code, out) == (2, "")  # the DOT file is written before the verdict
     assert "Is a directory" in _one_json_error(err)
 
 
@@ -369,24 +368,50 @@ def test_unknown_fault_symbol_exits_2(capsys):
     assert "unobservable" in json.loads(err)["error"]
 
 
+DEAD_PLANT = {
+    "states": [0, 1],
+    "observable": ["a"],
+    "unobservable": ["f"],
+    "faults": ["f"],
+    "initial": [0],
+    "transitions": [
+        {"from": 0, "event": "f", "to": 1},
+        {"from": 0, "event": "a", "to": 0},
+    ],
+}
+
+SILENT_CYCLE_PLANT = {
+    "states": [0, 1, 2],
+    "observable": ["a"],
+    "unobservable": ["f", "u"],
+    "faults": ["f"],
+    "initial": [0],
+    "transitions": [
+        {"from": src, "event": event, "to": dst}
+        for (src, event, dst) in [(0, "a", 0), (0, "f", 1), (1, "u", 2), (2, "u", 1)]
+    ],
+}
+
+
 def test_precondition_violation_exits_3(capsys, tmp_path):
-    dead = {
-        "states": [0, 1],
-        "observable": ["a"],
-        "unobservable": ["f"],
-        "faults": ["f"],
-        "initial": [0],
-        "transitions": [
-            {"from": 0, "event": "f", "to": 1},
-            {"from": 0, "event": "a", "to": 0},
-        ],
-    }
     path = tmp_path / "dead.json"
-    path.write_text(json.dumps(dead))
+    path.write_text(json.dumps(DEAD_PLANT))
     code, _out, err = run_cli(capsys, "diagnose", "--plant", str(path), "--budget", "1")
     assert code == 3
     body = json.loads(err)
     assert body["kind"] == "liveness"
+
+
+def test_cmin_refuses_the_plants_diagnose_refuses(capsys, tmp_path):
+    path = tmp_path / "plant.json"
+    for data, kind in ((DEAD_PLANT, "liveness"), (SILENT_CYCLE_PLANT, "unobservable-cycle")):
+        path.write_text(json.dumps(data))
+        code, out, refusal = run_cli(capsys, "diagnose", "--plant", str(path), "--budget", "1")
+        assert (code, out) == (3, "")
+        assert json.loads(refusal)["kind"] == kind
+        for extra in ((), ("--witness",)):
+            code, out, err = run_cli(capsys, "cmin", "--plant", str(path), *extra)
+            assert (code, out, err) == (3, "", refusal)
 
 
 def test_unreachable_unobservable_cycle_still_gets_a_verdict(capsys, tmp_path):

@@ -20,7 +20,7 @@ from tamperest.cmin import (
     step_costs,
 )
 from tamperest.diagnoser import FAULTY, NORMAL, verify_diagnosability
-from tamperest.errors import OracleBudgetError, ValidationError
+from tamperest.errors import OracleBudgetError, PreconditionError, ValidationError
 from tamperest.oracle import brute_force_minimum_budget
 
 from instances import random_attack_model, random_plant
@@ -256,10 +256,21 @@ def test_witness_path_reaches_an_ending_state(defeatable_plant, defeatable_costs
     assert max(totals) == result.value
 
 
+def _live_plant(rng, max_states):
+    """A random faulty plant that meets the engine's preconditions."""
+    return random_plant(
+        rng,
+        max_states=max_states,
+        allow_unobservable_cycles=False,
+        ensure_live=True,
+        with_fault=True,
+    )
+
+
 def test_agrees_with_the_oracle_on_random_instances():
     rng = random.Random(107)
     for _ in range(40):
-        plant = random_plant(rng, max_states=4, with_fault=True)
+        plant = _live_plant(rng, max_states=4)
         model = random_attack_model(rng, max_cost=3, p_del=0.2, p_ins=0.2, p_sub=0.25)
         assert minimum_defeating_budget(plant, model) == brute_force_minimum_budget(plant, model)
 
@@ -267,7 +278,7 @@ def test_agrees_with_the_oracle_on_random_instances():
 def test_value_exists_exactly_when_free_confusion_exists():
     rng = random.Random(109)
     for _ in range(40):
-        plant = random_plant(rng, max_states=4, with_fault=True)
+        plant = _live_plant(rng, max_states=4)
         model = random_attack_model(rng, max_cost=2)
         ending, _cycles = find_free_confusion_states(_reference_verifier(plant, model))
         assert (minimum_defeating_budget(plant, model) is not None) == bool(ending)
@@ -283,7 +294,7 @@ def _attacked_plants(seed, count):
     rng = random.Random(seed)
     positive = others = count // 2
     while positive or others:
-        plant = random_plant(rng, max_states=5, with_fault=True)
+        plant = _live_plant(rng, max_states=5)
         model = random_attack_model(rng, max_cost=3, p_del=0.3, p_ins=0.3, p_sub=0.3)
         engine_positive = bool(minimum_defeating_budget(plant, model))
         if not (positive if engine_positive else others):
@@ -387,6 +398,31 @@ def test_budget_at_the_minimum_defeats_diagnosis(defeatable_plant, defeatable_co
         assert value is not None
         assert not verify_diagnosability(plant, model, budget=value).diagnosable
         assert not verify_diagnosability(plant, model, budget=value + 1).diagnosable
+
+
+def test_preconditions_are_those_of_diagnose():
+    from tamperest.automata import PlantNfa
+
+    def plant_of(transitions):
+        return PlantNfa(
+            states=frozenset({0, 1, 2}),
+            observable=frozenset({"a"}),
+            unobservable=frozenset({"f", "u"}),
+            faults=frozenset({"f"}),
+            transitions=frozenset(transitions),
+            initial=frozenset({0}),
+        )
+
+    dead = plant_of([(0, "a", 0), (0, "f", 1), (1, "a", 1), (0, "u", 2)])
+    silent = plant_of([(0, "a", 0), (0, "f", 1), (1, "u", 2), (2, "u", 1)])
+    for plant, kind in ((dead, "liveness"), (silent, "unobservable-cycle")):
+        with pytest.raises(PreconditionError) as diagnosed:
+            verify_diagnosability(plant, AttackModel.empty(), budget=1)
+        with pytest.raises(PreconditionError) as refused:
+            minimum_defeating_budget(plant, AttackModel.empty())
+        assert refused.value.kind == diagnosed.value.kind == kind
+        assert refused.value.witness == diagnosed.value.witness
+        assert str(refused.value) == str(diagnosed.value)
 
 
 def test_faults_must_be_unobservable(estimation_plant, empty_model):

@@ -126,6 +126,29 @@ def test_reduction_preserves_least_cost_endings():
         assert full.over_budget == reduced.over_budget
 
 
+def test_reduction_keeps_exactly_the_cheapest_copies_and_all_are_reachable():
+    rng = random.Random(73)
+    for _ in range(150):
+        plant = random_plant(rng, max_states=6)
+        model = random_attack_model(rng)
+        word = random_observation(rng, max_len=5)
+        product = _product(plant, model, word, rng.randint(0, 5))
+        reduced = reduce_product(product)
+        cheapest = {}
+        for (state, stage, cost) in product.states:
+            cheapest[(state, stage)] = min(cost, cheapest.get((state, stage), cost))
+        assert reduced.states == {(x, stage, c) for (x, stage), c in cheapest.items()}
+        reached = set(reduced.initial)
+        frontier = list(reached)
+        while frontier:
+            src = frontier.pop()
+            for (s, _label, dst) in reduced.transitions:
+                if s == src and dst not in reached:
+                    reached.add(dst)
+                    frontier.append(dst)
+        assert reached == reduced.states
+
+
 # -- ending estimates ---------------------------------------------------------------
 
 

@@ -20,7 +20,8 @@ WIDE = OracleBudget(max_states=8)
 
 def test_oracle_imports_no_engine_module():
     """The oracle checks the engines only while it shares none of their code."""
-    tree = ast.parse(open(tamperest.oracle.__file__, encoding="utf-8").read())
+    with open(tamperest.oracle.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
     modules = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
