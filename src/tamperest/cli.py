@@ -28,12 +28,7 @@ from json.encoder import encode_basestring
 from . import dot
 from .attacks import AttackModel, label_to_dict, load_model, render_label
 from .automata import build_observer, load_plant, sort_key
-from .cmin import (
-    analyze_minimum_budget,
-    build_corrupted_automaton,
-    build_costed_twin_verifier,
-    side_run,
-)
+from .cmin import analyze_minimum_budget, build_costed_twin_verifier, side_run
 from .diagnoser import verify_diagnosability
 from .errors import ConfigurationError, PreconditionError, ValidationError
 from .estimator import estimate_least_cost, reduced_product
@@ -201,11 +196,9 @@ def _witness_payload(access, cycle) -> dict:
     }
 
 
-def _write_verifier_dot(path, plant, model, faults, name: str, budget=None):
-    """Build the reference costed twin verifier, only for DOT export."""
-    verifier = build_costed_twin_verifier(
-        build_corrupted_automaton(plant, model), faults, budget=budget
-    )
+def _write_verifier_dot(path, corrupted, faults, name: str, budget=None):
+    """Export the costed twin verifier over the corrupted automaton the analysis built."""
+    verifier = build_costed_twin_verifier(corrupted, faults, budget=budget)
     _write_dot(path, dot.costed_twin_verifier_to_dot(verifier, name=name))
 
 
@@ -218,7 +211,7 @@ def _cmd_diagnose(args) -> int:
     if args.witness and result.witness is not None:
         payload["witness"] = _witness_payload(result.witness.access, result.witness.cycle)
     if args.dot:
-        _write_verifier_dot(args.dot, plant, model, faults, "verifier", budget=args.budget)
+        _write_verifier_dot(args.dot, result.corrupted, faults, "verifier", budget=args.budget)
     _emit(payload)
     return EXIT_OK
 
@@ -233,7 +226,7 @@ def _cmd_cmin(args) -> int:
         if args.witness:
             payload["witness"] = _witness_payload(result.witness, result.cycle)
     if args.dot:
-        _write_verifier_dot(args.dot, plant, model, faults, "twin")
+        _write_verifier_dot(args.dot, result.corrupted, faults, "twin")
     _emit(payload)
     return EXIT_OK
 

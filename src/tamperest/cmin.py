@@ -19,11 +19,15 @@ search (Martins, EJOR 1984; Sedeño-Noda & Colebrook, EJOR 2019) over cost
 pairs ``(left, right)``, popping labels in ``(max, sum)`` order.  A label
 that dominates another never pops later, so every label that survives the
 dominance test on pop is final, and the first one at an ending state
-carries the answer.  Whether a state is ending is decided on demand, by one
-Tarjan pass per unexplored region of the cost-free mismatched subgraph.
-Unobservable events move one side at a time: a joint move equals a left
-move followed by a right move at zero cost, so leaving it out changes
-neither reachability nor cost-free cycles.
+carries the answer.  No label is pushed where both sides are faulty:
+``FAULTY`` is absorbing, so such a state never leads to a mismatched one.
+Whether a popped state is ending is decided on demand: a breadth-first
+search over the cost-free mismatched subgraph stops at its first return to
+the state (the early exit of nested DFS; Courcoubetis et al., FMSD 1992),
+and only when it exhausts does one Tarjan pass classify the region it saw,
+so that no later pop searches it again.  Unobservable events move one side
+at a time: a joint move equals a left move followed by a right move at zero
+cost, so leaving it out changes neither reachability nor cost-free cycles.
 
 The same search decides diagnosability at a budget C: given ``budget=C`` it
 explores only attacks that cost each side at most C, so it finds a value
@@ -41,7 +45,7 @@ made explicit, for ``--dot`` and the tests: it exhausts `_LazyTwin.steps`
 and states no move rule of its own.  `find_free_confusion_states` (one
 whole-graph SCC pass) and `propagate_cost_labels` (FIFO label correcting)
 are independent reference searches over it; the tests check the engine's
-memoized Tarjan passes and label-setting search against them.
+ending test and label-setting search against them.
 """
 
 from __future__ import annotations
@@ -108,12 +112,14 @@ class CminResult:
     of the cheapest attack from an initial pair into an ending state and
     `cycle` the steps of a cost-free mismatched cycle from that state back
     to it, both as ``(src, ((sym, c_left), (sym, c_right)), side, dst)``
-    over ``(x, l1, y, l2)`` states.
+    over ``(x, l1, y, l2)`` states.  `corrupted` is the corrupted automaton
+    the search ran on, so ``--dot`` can export it without building it again.
     """
 
     value: Optional[int]
     witness: Optional[tuple] = field(default=None, compare=False)
     cycle: Optional[tuple] = field(default=None, compare=False)
+    corrupted: Optional[CorruptedAutomaton] = field(default=None, compare=False, repr=False)
 
     @property
     def defeatable(self) -> bool:
@@ -201,17 +207,17 @@ def analyze_minimum_budget(
     twin = _LazyTwin(corrupted, faults, budget)
     label = twin.cheapest_ending_label()
     if label is None:
-        return CminResult(value=None)
+        return CminResult(value=None, corrupted=corrupted)
     code, left, right, _parent = twin.labels[label]
     if not want_witness:
-        return CminResult(value=max(left, right))
+        return CminResult(value=max(left, right), corrupted=corrupted)
     access, cycle = twin.access_steps(label), twin.cycle_steps(code)
     observed = [
         [e for e in side_run(access + cycle, side) if e in plant.observable] for side in "LR"
     ]
     if observed[0] != observed[1]:
         raise RuntimeError("verifier runs must agree on observations")
-    return CminResult(value=max(left, right), witness=access, cycle=cycle)
+    return CminResult(value=max(left, right), witness=access, cycle=cycle, corrupted=corrupted)
 
 
 #: Label bit of one side of an interned twin state; bit order is label order.
@@ -264,7 +270,7 @@ class _LazyTwin:
         )
         self.labels = []  # settled labels: (state, left, right, parent label or -1)
         self._free: dict = {}
-        self._component: dict = {}  # state -> its cyclic free component, or None
+        self._ending: dict = {}  # classified mismatched state -> whether it is ending
 
     def mismatched(self, code: int) -> bool:
         return (code // self.width ^ code) & 1 == 1
@@ -328,12 +334,46 @@ class _LazyTwin:
             self._free[code] = free
         return free
 
+    def return_path(self, code: int, skip=()) -> Optional[list]:
+        """A cost-free mismatched cycle ``[code, ..., code]``, or None when there is none.
+
+        Breadth-first over :meth:`free_successors`, passing over the states
+        in `skip`; it stops at the first edge back to `code`.  Every node on
+        a path from `code` back to itself lies in the strongly connected
+        component of `code`, and a state outside it never leads back, so the
+        path is the one `cycle_within` finds inside that component.
+        """
+        parent = {code: None}
+        order = [code]
+        for node in order:
+            for dst in self.free_successors(node):
+                if dst == code:
+                    path = [code]
+                    while node is not None:
+                        path.append(node)
+                        node = parent[node]
+                    path.reverse()
+                    return path
+                if dst not in parent and dst not in skip:
+                    parent[dst] = node
+                    order.append(dst)
+        return None
+
     def is_ending(self, code: int) -> bool:
-        """Mismatched and on a cost-free mismatched cycle."""
+        """Mismatched and on a cost-free mismatched cycle.
+
+        An unclassified state first gets :meth:`return_path`, which passes
+        over classified states: their regions are complete, so none of them
+        leads back.  Only when that search exhausts does one Tarjan pass
+        classify the region it saw, so each state is expanded at most twice.
+        A found cycle classifies nothing: `_ending` holds whole regions only.
+        """
         if not self.mismatched(code):
             return False
-        if code not in self._component:
-            known = self._component
+        known = self._ending
+        if code not in known:
+            if self.return_path(code, known) is not None:
+                return True
 
             # a classified state's component is complete, so it cannot join a new one
             def fresh(q):
@@ -341,10 +381,10 @@ class _LazyTwin:
 
             for component in strongly_connected_components([code], fresh):
                 head = component[0]
-                cyclic = len(component) > 1 or head in self.free_successors(head)
+                cyclic = len(component) > 1 or head in self._free[head]
                 for q in component:
-                    known[q] = component if cyclic else None
-        return self._component[code] is not None
+                    known[q] = cyclic
+        return known[code]
 
     def cheapest_ending_label(self) -> Optional[int]:
         """Index in `labels` of the first settled label at an ending state.
@@ -353,8 +393,11 @@ class _LazyTwin:
         the cost key go to the canonically first state.  A candidate that a
         label already pushed to its state dominates or equals is dropped: the
         pushed one pops first, and then it or a label dominating it settles.
+        A candidate at a state where both sides are faulty is dropped too; no
+        parent chain into an ending state passes through one, so witnesses
+        do not change.
         """
-        budget = self.budget
+        budget, width = self.budget, self.width
         pushed: dict = {code: [(0, 0)] for code in self.initial}  # state -> pushed (left, right)
         settled: dict = {}  # state -> settled (left, right)
         heap = [(0, 0, code, 0, 0, -1) for code in self.initial]
@@ -375,6 +418,8 @@ class _LazyTwin:
                     continue
                 total = new_left + new_right
                 for dst in dsts:
+                    if not (dst // width | dst) & 1:
+                        continue  # both sides faulty: never mismatched again
                     known = pushed.setdefault(dst, [])
                     if any(l <= new_left and r <= new_right for (l, r) in known):
                         continue
@@ -409,10 +454,7 @@ class _LazyTwin:
 
     def cycle_steps(self, code: int) -> tuple:
         """Steps of a cost-free mismatched cycle from the ending state `code` back to it."""
-        component = self._component[code]
-        nodes = cycle_within(
-            [code] + [q for q in component if q != code], self.free_successors
-        )
+        nodes = self.return_path(code)
         return tuple(self.step(a, b, 0, 0) for a, b in zip(nodes, nodes[1:]))
 
 

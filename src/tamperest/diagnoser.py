@@ -25,7 +25,15 @@ from typing import Optional, Sequence
 
 from .attacks import AttackModel, check_budget
 from .automata import PlantNfa, sort_key
-from .cmin import FAULTY, NORMAL, analyze_minimum_budget, check_faults, is_mismatched, side_run
+from .cmin import (
+    FAULTY,
+    NORMAL,
+    CorruptedAutomaton,
+    analyze_minimum_budget,
+    check_faults,
+    is_mismatched,
+    side_run,
+)
 from .scc import cycle_within, strongly_connected_components
 
 # -- reference only: the cost-layered twin verifier ---------------------------
@@ -314,9 +322,12 @@ class DiagnosisWitness:
 
 @dataclass(frozen=True)
 class DiagnosisResult:
+    """Verdict at `budget`; `corrupted` is the automaton the search ran on, for ``--dot``."""
+
     diagnosable: bool
     budget: int
     witness: Optional[DiagnosisWitness] = None
+    corrupted: Optional[CorruptedAutomaton] = field(default=None, compare=False, repr=False)
 
 
 def verify_diagnosability(
@@ -341,7 +352,7 @@ def verify_diagnosability(
         plant, model, faults, want_witness=want_witness, budget=budget
     )
     if not found.defeatable:
-        return DiagnosisResult(diagnosable=True, budget=budget)
+        return DiagnosisResult(diagnosable=True, budget=budget, corrupted=found.corrupted)
     witness = None
     if want_witness:
         steps = found.witness + found.cycle
@@ -351,4 +362,6 @@ def verify_diagnosability(
             left_run=side_run(steps, "L"),
             right_run=side_run(steps, "R"),
         )
-    return DiagnosisResult(diagnosable=False, budget=budget, witness=witness)
+    return DiagnosisResult(
+        diagnosable=False, budget=budget, witness=witness, corrupted=found.corrupted
+    )

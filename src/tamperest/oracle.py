@@ -1,14 +1,16 @@
 """Brute-force reference implementations used as test ground truth.
 
 Everything here recomputes results from first principles: estimation by
-exhaustive enumeration of matching sequences, diagnosability and minimum
-budget by freshly-built twin searches over pair states with plain DFS cycle
-detection.  No construction code is shared with the production modules
-(imports are limited to the core automaton type and the attack-model
-enumerators), so agreement between the two routes is meaningful evidence.
+exhaustive enumeration of matching sequences, diagnosability by a
+freshly-built twin search over pair states with plain DFS cycle detection,
+and the minimum budget by per-state DFS for cost-free cycles and a scan of
+plain BFS over budgets.  No construction code is shared with the production
+modules (imports are limited to the core automaton type and the
+attack-model enumerators), so agreement between the two routes is
+meaningful evidence.
 
-All functions refuse inputs larger than their :class:`OracleBudget`; these
-searches are exponential and meant for desk-scale instances only.
+All functions refuse inputs larger than their :class:`OracleBudget`; they
+are meant for desk-scale instances only.
 """
 
 from __future__ import annotations
@@ -208,15 +210,14 @@ def brute_force_minimum_budget(
     faults: Optional[frozenset] = None,
     limits: OracleBudget = DEFAULT_BUDGET,
 ) -> Optional[int]:
-    """Exhaustive minimum defeating budget via simple-path enumeration.
+    """Minimum defeating budget by a scan over budgets.
 
-    Builds the twin graph of the corrupted system, finds all states lying on
-    a zero-cost mismatched cycle by per-state DFS, then enumerates all simple
-    paths from initial pairs to those states and minimises the larger side
-    cost.  Non-negative edge costs let cycles on an access path be excised,
-    so simple paths suffice.  How many paths that takes depends on the
-    order the edges are tried in, so events and states are tried in a
-    fixed order.
+    Builds the twin graph of the corrupted system and finds all states lying
+    on a zero-cost mismatched cycle by per-state DFS.  Then, for ``C = 0, 1,
+    2, ...``, a plain BFS over ``(pair, left, right)`` with ``left, right <=
+    C`` looks for one of those states; the first ``C`` whose BFS finds one
+    is the answer.  The scan ends: a reachable ending pair is reached along
+    some path, and the BFS at that path's larger side cost finds it.
     """
     faults = frozenset(plant.faults if faults is None else faults)
     _guard(len(plant.states) <= limits.max_states, "plant too large for the oracle")
@@ -296,26 +297,20 @@ def brute_force_minimum_budget(
     if not ending:
         return None
 
-    best: Optional[int] = None
-    counter = [0]
+    def reaches_ending(bound):
+        frontier = [(pair, 0, 0) for pair in start]
+        visited = set(frontier)
+        for pair, c_left, c_right in frontier:
+            if pair in ending:
+                return True
+            for (lc, rc), nxt in edge_map[pair]:
+                node = (nxt, c_left + lc, c_right + rc)
+                if node[1] <= bound and node[2] <= bound and node not in visited:
+                    visited.add(node)
+                    frontier.append(node)
+        return False
 
-    def extend(pair, on_path, c_left, c_right):
-        nonlocal best
-        counter[0] += 1
-        _guard(counter[0] <= limits.max_expansions, "path enumeration exceeded the oracle cap")
-        if best is not None and max(c_left, c_right) >= best:
-            return
-        if pair in ending:
-            value = max(c_left, c_right)
-            if best is None or value < best:
-                best = value
-        for (lc, rc), nxt in edge_map[pair]:
-            if nxt in on_path:
-                continue
-            on_path.add(nxt)
-            extend(nxt, on_path, c_left + lc, c_right + rc)
-            on_path.discard(nxt)
-
-    for pair in start:
-        extend(pair, {pair}, 0, 0)
-    return best
+    bound = 0
+    while not reaches_ending(bound):
+        bound += 1
+    return bound

@@ -482,6 +482,24 @@ def test_diagnose_and_cmin_write_dot_files(capsys, tmp_path):
     assert twin.read_text().startswith("digraph twin {")
 
 
+def test_dot_export_validates_the_model_once(capsys, tmp_path, monkeypatch):
+    """``--dot`` exports the corrupted automaton the analysis built: one model check."""
+    calls = []
+    validate = tamperest.AttackModel.validate_against
+
+    def counting(self, plant):
+        calls.append(plant)
+        return validate(self, plant)
+
+    monkeypatch.setattr(tamperest.AttackModel, "validate_against", counting)
+    inputs = ("--plant", DEFE_PLANT, "--attacks", DEFE_COSTS, "--dot", str(tmp_path / "out.dot"))
+    for argv in (("cmin", *inputs), ("diagnose", *inputs, "--budget", "2")):
+        calls.clear()
+        code, _out, _err = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(calls) == 1, argv[0]
+
+
 def test_console_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "tamperest.cli", "cmin", "--plant", DEFE_PLANT,

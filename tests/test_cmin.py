@@ -1,14 +1,17 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tamperest import fixtures
 from tamperest.attacks import AttackModel
 from tamperest.cmin import (
     EPSILON,
     CostPair,
+    _LazyTwin,
     analyze_minimum_budget,
     build_corrupted_automaton,
     build_costed_twin_verifier,
@@ -20,7 +23,7 @@ from tamperest.cmin import (
     step_costs,
 )
 from tamperest.diagnoser import FAULTY, NORMAL, verify_diagnosability
-from tamperest.errors import OracleBudgetError, PreconditionError, ValidationError
+from tamperest.errors import PreconditionError, ValidationError
 from tamperest.oracle import brute_force_minimum_budget
 
 from instances import random_attack_model, random_plant
@@ -275,6 +278,15 @@ def test_agrees_with_the_oracle_on_random_instances():
         assert minimum_defeating_budget(plant, model) == brute_force_minimum_budget(plant, model)
 
 
+def test_oracle_answers_every_small_live_plant():
+    """The oracle's budget scan is polynomial, so it refuses no plant within its state cap."""
+    rng = random.Random(139)
+    for _ in range(60):
+        plant = _live_plant(rng, max_states=6)
+        model = random_attack_model(rng, max_cost=3, p_del=0.3, p_ins=0.3, p_sub=0.3)
+        assert brute_force_minimum_budget(plant, model) == minimum_defeating_budget(plant, model)
+
+
 def test_value_exists_exactly_when_free_confusion_exists():
     rng = random.Random(109)
     for _ in range(40):
@@ -288,8 +300,7 @@ def _attacked_plants(seed, count):
     """Random attacked plants of at most 5 states with their oracle minimum.
 
     Half have a positive minimum, which random plants rarely do, so plants
-    are drawn until enough turn up; plants the oracle refuses as too large
-    are passed over.
+    are drawn until enough turn up.
     """
     rng = random.Random(seed)
     positive = others = count // 2
@@ -299,10 +310,7 @@ def _attacked_plants(seed, count):
         engine_positive = bool(minimum_defeating_budget(plant, model))
         if not (positive if engine_positive else others):
             continue
-        try:
-            value = brute_force_minimum_budget(plant, model)
-        except OracleBudgetError:
-            continue
+        value = brute_force_minimum_budget(plant, model)
         if engine_positive:
             positive -= 1
         else:
@@ -342,6 +350,90 @@ def test_witness_is_a_cheapest_attack_into_a_free_confusion_cycle():
             for step in cycle:
                 assert step_costs(step) == (0, 0)
                 assert is_mismatched(step[0]) and is_mismatched(step[3])
+
+
+def _fixture_instances():
+    for plant, costs in zip(fixtures.PLANTS, fixtures.COST_TABLES):
+        yield fixtures.plant(plant), fixtures.costs(costs)
+
+
+def test_no_label_settles_where_both_sides_are_faulty():
+    """``FAULTY`` is absorbing, so an (F, F) twin state can never lead to a mismatched one."""
+    instances = list(_fixture_instances()) + [
+        (plant, model) for plant, model, _value in _attacked_plants(137, 20)
+    ]
+    settled = 0
+    for plant, model in instances:
+        for budget in (None, 1):
+            twin = _LazyTwin(build_corrupted_automaton(plant, model), plant.faults, budget)
+            twin.cheapest_ending_label()
+            for code, *_costs in twin.labels:
+                _x, l1, _y, l2 = twin.render(code)
+                assert (l1, l2) != (FAULTY, FAULTY)
+            settled += len(twin.labels)
+            result = analyze_minimum_budget(plant, model, want_witness=True, budget=budget)
+            assert result.value == _reference_value(plant, model, budget)
+            if result.value is None:
+                continue
+            verifier = _reference_verifier(plant, model, budget)
+            ending, _cycles = find_free_confusion_states(verifier)
+            labels, _parents = propagate_cost_labels(verifier, budget=budget)
+            end = result.witness[-1][3]
+            spent = tuple(map(sum, zip(*map(step_costs, result.witness))))
+            assert end in ending and spent in labels[end]
+    assert settled
+
+
+def _late_cycle_plant(width: int, depth: int):
+    """A fault run and a normal run that agree for free through a wide acyclic region.
+
+    From the initial state, ``f`` (a fault) and ``u`` enter two stacks of
+    `depth` layers of `width` states each, every state of a layer moving on
+    ``a`` to every state of the next.  The faulty stack leaves on ``b`` and
+    the normal one on ``c`` into ``d`` self-loops, so the mismatched twin
+    states in the layers (``depth * width**2`` per order of the sides) lie
+    on no cost-free cycle; the only ending states lie past the substitution
+    ``b -> c`` (cost 1).
+    """
+    from tamperest.automata import PlantNfa
+
+    stacks = {side: [[(side, i, p) for p in range(width)] for i in range(depth)] for side in "LR"}
+    transitions = {(0, "d", 0)}
+    for side, event, exit_event in (("L", "f", "b"), ("R", "u", "c")):
+        layers = stacks[side]
+        transitions |= {(0, event, q) for q in layers[0]}
+        for here, there in zip(layers, layers[1:]):
+            transitions |= {(p, "a", q) for p in here for q in there}
+        transitions |= {(p, exit_event, ("end", side)) for p in layers[-1]}
+        transitions.add((("end", side), "d", ("end", side)))
+    states = {src for (src, _e, _dst) in transitions} | {dst for (_src, _e, dst) in transitions}
+    plant = PlantNfa(
+        states=frozenset(states),
+        observable=frozenset({"a", "b", "c", "d"}),
+        unobservable=frozenset({"f", "u"}),
+        faults=frozenset({"f"}),
+        transitions=frozenset(transitions),
+        initial=frozenset({0}),
+    )
+    return plant, AttackModel({}, {}, {("b", "c"): 1})
+
+
+def test_ending_test_expands_each_state_at_most_twice(monkeypatch):
+    """The first mismatched states lie on no free cycle but reach a wide acyclic free region."""
+    width, depth = 5, 6
+    plant, model = _late_cycle_plant(width, depth)
+    expansions = Counter()
+    free_successors = _LazyTwin.free_successors
+
+    def counting(self, code):
+        expansions[code] += 1
+        return free_successors(self, code)
+
+    monkeypatch.setattr(_LazyTwin, "free_successors", counting)
+    assert analyze_minimum_budget(plant, model).value == 1
+    assert len(expansions) >= 2 * depth * width**2
+    assert max(expansions.values()) <= 2
+    assert _reference_value(plant, model) == 1
 
 
 def _simple_path_label_sets(verifier, cap=50_000):

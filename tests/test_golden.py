@@ -6,6 +6,12 @@ has cost ties that the canonical state order (`sort_key`) breaks: ordering
 the states by `str`, by `repr` or by numeric value changes every one of its
 witnesses.
 
+The fixtures have at most 8 states, too few for the `cmin` engine's search
+to do much, so `tests/golden/inputs/` also holds mid-size plants written by
+`perfbench/generate.py`: sig-chains (minimum defeating budget ``k*c``) of
+22-36 states and random plants of 29 and 43 states, with and without
+deletions in their attack tables.
+
 Regenerate the files (only when an output change is intended) with::
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -21,8 +27,26 @@ from tamperest import fixtures
 from tamperest.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-MIXED = ("--plant", str(GOLDEN / "inputs" / "mixed_plant.json"),
-         "--attacks", str(GOLDEN / "inputs" / "mixed_costs.json"))
+
+
+def _golden_inputs(name: str) -> tuple:
+    inputs = GOLDEN / "inputs"
+    plant, costs = inputs / f"{name}_plant.json", inputs / f"{name}_costs.json"
+    return ("--plant", str(plant), "--attacks", str(costs))
+
+
+MIXED = _golden_inputs("mixed")
+#: Mid-size generated plant -> its minimum defeating budget (``k*c`` for a sig-chain).
+MID_SIZE = {
+    "chain22k2": 2,
+    "chain29k2": 4,
+    "chain29k3": 3,
+    "chain36k3": 6,
+    "chain36k3del": 6,
+    "random29": 0,
+    "random43": 0,
+    "random43del": 0,
+}
 
 
 def _inputs(plant: str, costs: str) -> tuple:
@@ -62,6 +86,11 @@ def _cases() -> dict:
     cases["estimate_estimation_empty"] = (
         ("estimate", *estimation, "--obs", "", "--budget", "1", "--witness"), False
     )
+    for name, value in MID_SIZE.items():
+        inputs = _golden_inputs(name)
+        cases[f"cmin_{name}"] = (("cmin", *inputs, "--witness"), False)
+        argv = ("diagnose", *inputs, "--budget", str(value), "--witness")
+        cases[f"diagnose_{name}_b{value}"] = (argv, False)
     for name, plant in (("estimation", str(fixtures.plant_path("estimation"))), ("mixed", MIXED[1])):
         cases[f"observer_{name}"] = (("observer", "--plant", plant), False)
     return cases
