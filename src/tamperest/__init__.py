@@ -66,21 +66,8 @@ from .errors import (
     TamperestError,
     ValidationError,
 )
-from .estimator import (
-    Estimate,
-    ProductAutomaton,
-    build_product,
-    ending_estimates,
-    estimate_least_cost,
-    estimate_via_product,
-    reduce_product,
-)
-from .matching import (
-    CostedMatchingDfa,
-    MatchingAutomaton,
-    build_costed_matching_dfa,
-    build_matching_automaton,
-)
+from .estimator import Estimate, estimate_least_cost, estimation_graph
+from .matching import MatchingAutomaton, build_matching_automaton
 from . import fixtures
 
 __version__ = "0.1.0"

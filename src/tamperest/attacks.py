@@ -280,8 +280,11 @@ def model_from_dict(data: dict) -> AttackModel:
     insertions = data.get("insertions", {})
     if not isinstance(deletions, dict) or not isinstance(insertions, dict):
         raise ValidationError("'deletions' and 'insertions' must be objects")
+    entries = data.get("substitutions", [])
+    if not isinstance(entries, list):
+        raise ValidationError("'substitutions' must be a list")
     substitutions = {}
-    for entry in data.get("substitutions", []):
+    for entry in entries:
         if not isinstance(entry, dict) or {"from", "to", "cost"} - entry.keys():
             raise ValidationError(f"bad substitution entry: {entry!r}")
         pair = (check_symbol_name(entry["from"]), check_symbol_name(entry["to"]))

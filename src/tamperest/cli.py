@@ -31,7 +31,7 @@ from .automata import build_observer, load_plant, sort_key
 from .cmin import analyze_minimum_budget, build_costed_twin_verifier, side_run
 from .diagnoser import verify_diagnosability
 from .errors import ConfigurationError, PreconditionError, ValidationError
-from .estimator import estimate_least_cost, reduced_product
+from .estimator import estimate_least_cost, estimation_graph
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -180,8 +180,8 @@ def _cmd_estimate(args) -> int:
         "over_budget": [{"state": s} for s in sorted(estimate.over_budget, key=sort_key)],
     }
     if args.dot:
-        product = reduced_product(plant, model, observation, args.budget)
-        _write_dot(args.dot, dot.product_to_dot(product))
+        states, transitions = estimation_graph(plant, model, observation, args.budget)
+        _write_dot(args.dot, dot.product_to_dot(states, transitions))
     _emit(payload)
     return EXIT_OK
 

@@ -53,6 +53,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .attacks import AttackModel
@@ -126,6 +127,9 @@ class CminResult:
         return self.value is not None
 
 
+_NO_MOVES: Mapping = MappingProxyType({})
+
+
 @dataclass(frozen=True, eq=False)
 class CorruptedAutomaton:
     """Plant with attack actions as (event, cost)-labelled edges.
@@ -134,15 +138,20 @@ class CorruptedAutomaton:
     (deletions) to ``{cost: targets}``: plant moves cost 0, a deletion is an
     empty edge, an insertion a self-loop, and a substitution follows the
     original symbol.  Identity stays ``(empty, 0)`` are implicit and never
-    materialised.
+    materialised.  The maps are read-only copies of the ones passed in.
     """
 
     plant: PlantNfa
     model: AttackModel
     _moves: Mapping = field(repr=False, compare=False, default=None)
 
+    def __post_init__(self):
+        moves = {x: MappingProxyType({e: MappingProxyType(dict(c)) for e, c in m.items()})
+                 for x, m in (self._moves or {}).items()}
+        object.__setattr__(self, "_moves", MappingProxyType(moves))
+
     def moves(self, state) -> Mapping:
-        return self._moves.get(state, {})
+        return self._moves.get(state, _NO_MOVES)
 
     def targets(self, state, symbol: str, cost: int) -> frozenset:
         return self.moves(state).get(symbol, {}).get(cost, frozenset())
@@ -475,7 +484,7 @@ class CostedTwinVerifier:
     States are ``(x, l1, y, l2)`` over plant states and N/F labels.
     Transitions are ``(src, ((e, c), (e, c')), side, dst)``: both sides
     observe the same symbol, each paying its own cost; unobservable events
-    interleave at zero cost.
+    interleave at zero cost.  `outgoing` returns a tuple.
     """
 
     source: CorruptedAutomaton
@@ -483,15 +492,14 @@ class CostedTwinVerifier:
     states: frozenset
     initial: frozenset
     transitions: frozenset
-    _out: dict = field(init=False, repr=False, compare=False)
+    _out: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         out: dict = {}
         for step in self.transitions:
             out.setdefault(step[0], []).append(step)
-        for steps in out.values():
-            steps.sort(key=_vstep_sort_key)
-        object.__setattr__(self, "_out", out)
+        sorted_out = {q: tuple(sorted(steps, key=_vstep_sort_key)) for q, steps in out.items()}
+        object.__setattr__(self, "_out", MappingProxyType(sorted_out))
 
     def outgoing(self, state) -> Sequence:
         return self._out.get(state, ())

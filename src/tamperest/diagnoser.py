@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .attacks import AttackModel, check_budget
 from .automata import PlantNfa, sort_key
@@ -148,7 +149,8 @@ class TwinVerifier:
 
     States are ``(left_state, left_label, right_state, right_label)`` where
     the labels are ``"N"`` or ``"F"``; fault labels are absorbing.
-    Transitions record which side moved (``"L"``, ``"R"`` or ``"LR"``).
+    Transitions record which side moved (``"L"``, ``"R"`` or ``"LR"``);
+    `outgoing` returns a tuple.
     """
 
     source: CostedPlant
@@ -156,15 +158,14 @@ class TwinVerifier:
     states: frozenset
     initial: frozenset
     transitions: frozenset  # (src, event, side, dst)
-    _out: dict = field(init=False, repr=False, compare=False)
+    _out: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         out: dict = {}
         for step in self.transitions:
             out.setdefault(step[0], []).append(step)
-        for steps in out.values():
-            steps.sort(key=_step_sort_key)
-        object.__setattr__(self, "_out", out)
+        sorted_out = {q: tuple(sorted(steps, key=_step_sort_key)) for q, steps in out.items()}
+        object.__setattr__(self, "_out", MappingProxyType(sorted_out))
 
     def outgoing(self, state) -> Sequence:
         return self._out.get(state, ())

@@ -1,7 +1,11 @@
-"""Graphviz DOT rendering for every automaton in the package.
+"""Graphviz DOT rendering for the automata the CLI exports.
 
-Output is deterministic: nodes and edges are emitted in canonical sorted
-order, so identical inputs produce byte-identical files.
+`product_to_dot` draws the reduced estimation product as
+:func:`tamperest.estimator.estimation_graph` reads it off the sweep; the
+reference costed matching DFA has its own renderer in
+:mod:`tamperest.reference`.  Output is deterministic: nodes and edges are
+emitted in canonical sorted order, so identical inputs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -9,8 +13,6 @@ from __future__ import annotations
 from .attacks import render_label
 from .automata import ObserverDfa, PlantNfa, sort_key
 from .cmin import CostedTwinVerifier, render_symbol
-from .estimator import ProductAutomaton
-from .matching import CostedMatchingDfa
 
 
 def _q(text) -> str:
@@ -59,27 +61,8 @@ def observer_to_dot(observer: ObserverDfa, name: str = "observer") -> str:
     return "\n".join(lines) + "\n"
 
 
-def matching_dfa_to_dot(dfa: CostedMatchingDfa, name: str = "matching") -> str:
-    """Stage/cost grid: stages appear as columns, accumulated costs as rows."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=circle];"]
-    by_stage: dict = {}
-    for (stage, cost) in dfa.states:
-        by_stage.setdefault(stage, []).append(cost)
-    for stage in sorted(by_stage):
-        members = " ".join(_q(f"({stage},{cost})") for cost in sorted(by_stage[stage]))
-        lines.append(f"  {{ rank=same; {members} }}")
-    for ((state, label), target) in sorted(
-        dfa.transitions.items(),
-        key=lambda kv: (kv[0][0], render_label(kv[0][1]), kv[1]),
-    ):
-        src = _q(f"({state[0]},{state[1]})")
-        dst = _q(f"({target[0]},{target[1]})")
-        lines.append(f"  {src} -> {dst} [label={_q(render_label(label))}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def product_to_dot(product: ProductAutomaton, name: str = "product") -> str:
+def product_to_dot(states, transitions, name: str = "product") -> str:
+    """Plant x costed matching DFA: ``(state, stage, cost)`` nodes ranked by stage."""
     lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=circle];"]
 
     def node(state):
@@ -87,7 +70,7 @@ def product_to_dot(product: ProductAutomaton, name: str = "product") -> str:
         return _q(f"({plant_state},{stage},{cost})")
 
     by_stage: dict = {}
-    for state in product.states:
+    for state in states:
         by_stage.setdefault(state[1], []).append(state)
     for stage in sorted(by_stage):
         members = " ".join(
@@ -95,7 +78,7 @@ def product_to_dot(product: ProductAutomaton, name: str = "product") -> str:
         )
         lines.append(f"  {{ rank=same; {members} }}")
     for (src, label, dst) in sorted(
-        product.transitions,
+        transitions,
         key=lambda t: (sort_key(t[0][0]), t[0][1], t[0][2], render_label(t[1]),
                        sort_key(t[2][0]), t[2][1], t[2][2]),
     ):

@@ -5,139 +5,30 @@ consistent with *some* explanation of that observation whose recovery cost
 stays within the attacker budget, each state annotated with the cheapest
 such cost.
 
-Both routes read the attack labels from :mod:`tamperest.matching`:
-
-* an explicit product of the plant with the costed matching DFA
-  (`build_product`), reduced by cost dominance (`reduce_product`, both
-  steps in `reduced_product`) and read off at the final stage
-  (`ending_estimates`);
-* a stage-by-stage sweep (`estimate_least_cost`) over the stage machine of
-  `build_matching_automaton`: its advancing labels move to the next stage
-  and its loop (deletion) labels are relaxed within a stage, on per-(state,
-  stage) costs, so the product is never materialised.  Results are
-  identical; the sweep is the production path.
+The paper reads it off the plant's product with a costed matching DFA,
+which only :mod:`tamperest.reference` builds.  Here one sweep,
+`_stage_costs`, keeps a saturating cost per (plant state, stage) along the
+stage machine of `build_matching_automaton`: advancing labels move to the
+next stage, loop (deletion) labels are relaxed within a stage.
+`estimate_least_cost` keeps its last table; `estimation_graph` keeps every
+table and reads the reduced product off them for ``estimate --dot``.
 
 The sweep works on the plant's canonical state numbering: states are the
 indices of `PlantNfa.order`, each label's plant move is read from
 `PlantNfa.posts`, and ties go to the canonically first state because index
-order is canonical order.  The product route calls ``PlantNfa.reach``
-itself, so it shares no table with the sweep it is compared against.
+order is canonical order.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
-from .attacks import AttackModel, Label, check_budget, label_cost, project_original
+from .attacks import AttackModel, check_budget, label_cost, project_original
 from .automata import PlantNfa, sort_key
-from .errors import ConfigurationError, ValidationError
-from .matching import CostedMatchingDfa, build_costed_matching_dfa, build_matching_automaton
-
-
-@dataclass(frozen=True, eq=False)
-class ProductAutomaton:
-    """Synchronisation of the plant with a costed matching DFA.
-
-    States are ``(plant_state, stage, cost)`` triples; the transition
-    relation is nondeterministic in the plant component.
-    """
-
-    plant: PlantNfa
-    dfa: CostedMatchingDfa
-    states: frozenset
-    initial: frozenset
-    transitions: frozenset  # (src, label, dst) triples
-
-    @property
-    def final_stage(self) -> int:
-        return self.dfa.final_stage
-
-    @property
-    def bound(self) -> int:
-        return self.dfa.bound
-
-    def successors(self, state: tuple, label: Label) -> frozenset:
-        return frozenset(dst for (src, l, dst) in self.transitions if src == state and l == label)
-
-
-def build_product(plant: PlantNfa, dfa: CostedMatchingDfa) -> ProductAutomaton:
-    """Accessible synchronous product; plant components are closure-saturated.
-
-    The initial plant components take the unobservable closure of the plant's
-    initial states so that the zero-observation estimate coincides with
-    ``reach(X0, e)`` for the empty observation.
-    """
-    dfa.model.validate_against(plant)
-    for symbol in dfa.received:
-        if symbol not in plant.observable:
-            raise ConfigurationError(
-                f"received symbol {symbol!r} is not observable in the plant"
-            )
-    initial = frozenset(
-        (state, 0, 0) for state in plant.unobservable_closure(plant.initial)
-    )
-    states = set(initial)
-    transitions = set()
-    queue = deque(sorted(initial, key=lambda s: sort_key(s[0])))
-    label_pool = dfa.labels()
-    while queue:
-        src = queue.popleft()
-        plant_state, stage, cost = src
-        for label in label_pool:
-            nxt = dfa.step((stage, cost), label)
-            if nxt is None:
-                continue
-            targets = plant.reach((plant_state,), project_original((label,)))
-            for target in sorted(targets, key=sort_key):
-                dst = (target, nxt[0], nxt[1])
-                transitions.add((src, label, dst))
-                if dst not in states:
-                    states.add(dst)
-                    queue.append(dst)
-    size_cap = len(plant.states) * (dfa.final_stage + 1) * (dfa.bound + 1)
-    if len(states) > size_cap:
-        raise RuntimeError("product grew beyond |X|*(m+1)*(B+1) states")
-    return ProductAutomaton(
-        plant=plant,
-        dfa=dfa,
-        states=frozenset(states),
-        initial=initial,
-        transitions=frozenset(transitions),
-    )
-
-
-def reduce_product(product: ProductAutomaton) -> ProductAutomaton:
-    """Keep only the cheapest copy of each (plant state, stage).
-
-    What is kept stays accessible: a run into a cheapest copy that passes a
-    dearer copy of some (state, stage) can take the cheapest copy instead,
-    which reaches the same target at no higher (saturated) cost.
-    """
-    cheapest: dict = {}
-    for (state, stage, cost) in product.states:
-        key = (state, stage)
-        if cost < cheapest.get(key, cost + 1):
-            cheapest[key] = cost
-    kept = frozenset(
-        (state, stage, cost)
-        for (state, stage, cost) in product.states
-        if cheapest[(state, stage)] == cost
-    )
-    return ProductAutomaton(
-        plant=product.plant,
-        dfa=product.dfa,
-        states=kept,
-        initial=product.initial & kept,
-        transitions=frozenset(
-            (src, label, dst)
-            for (src, label, dst) in product.transitions
-            if src in kept and dst in kept
-        ),
-    )
+from .matching import MatchingAutomaton, build_matching_automaton
 
 
 @dataclass(frozen=True)
@@ -171,79 +62,25 @@ class Estimate:
         return sorted(self.pairs.items(), key=lambda item: (item[1], sort_key(item[0])))
 
 
-def ending_estimates(product: ProductAutomaton, budget: int) -> Estimate:
-    """Per-state minimum costs at the final stage of a (reduced) product.
+def _stage_costs(
+    plant: PlantNfa, model: AttackModel, matching: MatchingAutomaton, bound: int, parents=None
+) -> Iterator[dict]:
+    """Each stage's table ``{state index: cost saturated at bound}``, in stage order.
 
-    Saturated entries (cost equal to the bound, i.e. beyond the budget) are
-    reported separately in ``over_budget``.
+    Advancing labels move to the next stage, deletion labels are relaxed to
+    a fixed point within a stage (each deletion costs at least one unit, so
+    the relaxation terminates), and then the table is yielded.  With
+    `parents`, each improvement records ``parents[stage][x] = (label,
+    prev_x, prev_stage)``.
     """
-    if product.bound != budget + 1:
-        raise ValidationError(
-            f"product was built with bound {product.bound}, expected budget+1={budget + 1}"
-        )
-    final = product.final_stage
-    best: dict = {}
-    for (state, stage, cost) in product.states:
-        if stage != final:
-            continue
-        if cost < best.get(state, cost + 1):
-            best[state] = cost
-    pairs = {state: cost for state, cost in best.items() if cost <= budget}
-    over = frozenset(state for state, cost in best.items() if cost > budget)
-    return Estimate(
-        received=product.dfa.received,
-        budget=budget,
-        pairs=pairs,
-        over_budget=over,
-    )
-
-
-def reduced_product(
-    plant: PlantNfa, model: AttackModel, received: Sequence[str], budget: int
-) -> ProductAutomaton:
-    """Matching DFA saturated at ``budget + 1`` -> product -> reduction."""
-    dfa = build_costed_matching_dfa(received, model, budget + 1, alphabet=plant.observable)
-    return reduce_product(build_product(plant, dfa))
-
-
-def estimate_via_product(
-    plant: PlantNfa, model: AttackModel, received: Sequence[str], budget: int
-) -> Estimate:
-    """Reference pipeline: the reduced product, read off at the final stage."""
-    return ending_estimates(reduced_product(plant, model, received, budget), budget)
-
-
-def estimate_least_cost(
-    plant: PlantNfa,
-    model: AttackModel,
-    received: Sequence[str],
-    budget: int,
-    witness: bool = False,
-) -> Estimate:
-    """Least-cost estimate by a direct stage sweep.
-
-    Keeps one saturating cost per (plant state, stage): advancing labels move
-    to the next stage, deletion labels are relaxed to a fixed point within a
-    stage (each deletion costs at least one unit, so the relaxation
-    terminates).  With `witness` set, each improvement records its label and
-    predecessor in the dict of its stage, and `_reconstruct` reads one
-    cheapest label sequence per estimated state off those dicts; without it,
-    no parent is recorded.
-    """
-    check_budget(budget)
-    model.validate_against(plant)
-    matching = build_matching_automaton(received, model, alphabet=plant.observable)
     posts = plant.posts
     loop = [(d, label_cost(d, model), posts[(d.symbol,)]) for d in matching.loop_labels()]
-    bound = budget + 1
-
-    # witness mode only: parents[stage][x] = (label, prev_x, prev_stage), over state indices
-    parents = [{} for _ in range(matching.final_stage + 1)] if witness else None
+    record = parents is not None
 
     def relax_deletions(dist: dict, stage: int) -> dict:
         if not loop:
             return dist
-        back = parents[stage] if witness else None
+        back = parents[stage] if record else None
         heap = [(cost, x) for x, cost in dist.items()]
         heapq.heapify(heap)
         while heap:
@@ -255,16 +92,17 @@ def estimate_least_cost(
                 for target in post[x]:
                     if new_cost < dist.get(target, bound + 1):
                         dist[target] = new_cost
-                        if witness:
+                        if record:
                             back[target] = (label, x, stage)
                         heapq.heappush(heap, (new_cost, target))
         return dist
 
     dist = {plant.index[state]: 0 for state in plant.unobservable_closure(plant.initial)}
     dist = relax_deletions(dist, 0)
+    yield dist
     for stage in range(matching.final_stage):
         ranked = sorted((cost, x) for x, cost in dist.items())
-        back = parents[stage + 1] if witness else None
+        back = parents[stage + 1] if record else None
         nxt: dict = {}
         for label in matching.advancing_labels(stage):
             delta = label_cost(label, model)
@@ -274,9 +112,32 @@ def estimate_least_cost(
                 for target in post[x]:
                     if new_cost < nxt.get(target, bound + 1):
                         nxt[target] = new_cost
-                        if witness:
+                        if record:
                             back[target] = (label, x, stage)
         dist = relax_deletions(nxt, stage + 1)
+        yield dist
+
+
+def estimate_least_cost(
+    plant: PlantNfa,
+    model: AttackModel,
+    received: Sequence[str],
+    budget: int,
+    witness: bool = False,
+) -> Estimate:
+    """Least-cost estimate: the last table of the stage sweep.
+
+    With `witness` set, the sweep records one parent per improvement, and
+    `_reconstruct` reads one cheapest label sequence per estimated state off
+    them; without it, no parent is recorded.
+    """
+    check_budget(budget)
+    model.validate_against(plant)
+    matching = build_matching_automaton(received, model, alphabet=plant.observable)
+    # witness mode only: parents[stage][x] = (label, prev_x, prev_stage), over state indices
+    parents = [{} for _ in range(matching.final_stage + 1)] if witness else None
+    for dist in _stage_costs(plant, model, matching, budget + 1, parents):
+        pass
 
     pairs = {plant.order[x]: cost for x, cost in dist.items() if cost <= budget}
     over = frozenset(plant.order[x] for x, cost in dist.items() if cost > budget)
@@ -291,6 +152,38 @@ def estimate_least_cost(
         over_budget=over,
         witnesses=witnesses,
     )
+
+
+def estimation_graph(
+    plant: PlantNfa, model: AttackModel, received: Sequence[str], budget: int
+) -> tuple:
+    """``(states, transitions)`` of the plant x costed matching DFA product, reduced.
+
+    Read off every table of the sweep: a state ``(plant state, stage,
+    cost)`` per entry, and a transition ``(src, label, dst)`` per label move
+    that lands on its target's entry, which are the cheapest copies and the
+    moves between them that the reference `reduce_product` keeps.
+    """
+    check_budget(budget)
+    model.validate_against(plant)
+    matching = build_matching_automaton(received, model, alphabet=plant.observable)
+    bound, order, posts = budget + 1, plant.order, plant.posts
+    tables = list(_stage_costs(plant, model, matching, bound))
+    states, transitions = set(), set()
+    for stage, table in enumerate(tables):
+        states.update((order[x], stage, cost) for x, cost in table.items())
+        moves = [(label, stage) for label in matching.loop_labels()]
+        moves += [(label, stage + 1) for label in matching.advancing_labels(stage)]
+        for label, to in moves:
+            delta, post = label_cost(label, model), posts[project_original((label,))]
+            for x, cost in table.items():
+                new_cost = min(cost + delta, bound)
+                transitions.update(
+                    ((order[x], stage, cost), label, (order[y], to, new_cost))
+                    for y in post[x]
+                    if tables[to][y] == new_cost
+                )
+    return frozenset(states), frozenset(transitions)
 
 
 def _reconstruct(parents: list, targets: list, stage: int) -> list:

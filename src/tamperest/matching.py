@@ -4,21 +4,15 @@
 first ``i`` received symbols have been explained.  Deletion labels self-loop
 at every stage (the plant moved, nothing was received); each non-deletion
 label advances one stage and must account for the next received symbol,
-either untouched, inserted, or substituted.
-
-`build_costed_matching_dfa` augments the stage machine with a saturating
-cost counter: the cost component accumulates label costs but never exceeds
-the bound ``B``, so a state with cost exactly ``B`` means "accumulated cost
-is at least B".  Consumers that filter at an attacker budget ``C`` build the
-machine with ``B = C + 1``.
+either untouched, inserted, or substituted.  The estimator sweeps this
+machine stage by stage; the paper's costed matching DFA, which pairs it with
+a saturating cost counter, is reference code in :mod:`tamperest.reference`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .attacks import (
     AttackModel,
@@ -27,7 +21,6 @@ from .attacks import (
     Label,
     Plain,
     Sub,
-    check_budget,
     label_cost,
     label_sort_key,
 )
@@ -119,77 +112,3 @@ def build_matching_automaton(
             if symbol not in alphabet:
                 raise ValidationError(f"received symbol {symbol!r} is not observable")
     return MatchingAutomaton(received=received, model=model)
-
-
-@dataclass(frozen=True, eq=False)
-class CostedMatchingDfa:
-    """Stage machine paired with a saturating cost counter.
-
-    States are ``(stage, cost)`` with ``cost <= bound``; only states
-    reachable from ``(0, 0)`` are materialised.  The transition map is
-    read-only.
-    """
-
-    received: tuple
-    model: AttackModel
-    bound: int
-    states: frozenset
-    transitions: Mapping
-
-    initial = (0, 0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "transitions", MappingProxyType(dict(self.transitions)))
-
-    @property
-    def final_stage(self) -> int:
-        return len(self.received)
-
-    def step(self, state: tuple, label: Label) -> Optional[tuple]:
-        return self.transitions.get((state, label))
-
-    def run(self, labels: Sequence[Label]) -> Optional[tuple]:
-        current = self.initial
-        for label in labels:
-            current = self.step(current, label)
-            if current is None:
-                return None
-        return current
-
-    def labels(self) -> tuple:
-        seen = {label for (_state, label) in self.transitions}
-        return tuple(sorted(seen, key=label_sort_key))
-
-
-def build_costed_matching_dfa(
-    received: Sequence[str],
-    model: AttackModel,
-    bound: int,
-    alphabet: Optional[frozenset] = None,
-) -> CostedMatchingDfa:
-    """Accessible product of the stage machine with a cost counter saturated at `bound`."""
-    check_budget(bound, "saturation bound")
-    skeleton = build_matching_automaton(received, model, alphabet)
-    start = (0, 0)
-    states = {start}
-    transitions = {}
-    queue = deque([start])
-    loops = skeleton.loop_labels()
-    while queue:
-        stage, cost = queue.popleft()
-        moves = [(label, stage) for label in loops]
-        moves.extend((label, stage + 1) for label in skeleton.advancing_labels(stage))
-        for label, next_stage in moves:
-            next_cost = min(cost + label_cost(label, model), bound)
-            target = (next_stage, next_cost)
-            transitions[((stage, cost), label)] = target
-            if target not in states:
-                states.add(target)
-                queue.append(target)
-    return CostedMatchingDfa(
-        received=skeleton.received,
-        model=model,
-        bound=bound,
-        states=frozenset(states),
-        transitions=transitions,
-    )

@@ -32,17 +32,17 @@ from tamperest.diagnoser import (
     build_twin_verifier,
     verify_diagnosability,
 )
-from tamperest.estimator import (
-    build_product,
-    ending_estimates,
-    estimate_least_cost,
-    reduce_product,
-)
-from tamperest.matching import build_costed_matching_dfa
+from tamperest.estimator import estimate_least_cost
 from tamperest.oracle import (
     brute_force_diagnosable,
     brute_force_estimate,
     brute_force_minimum_budget,
+)
+from tamperest.reference import (
+    build_costed_matching_dfa,
+    build_product,
+    ending_estimates,
+    reduce_product,
 )
 
 from instances import random_attack_model, random_observation, random_plant

@@ -14,7 +14,7 @@ from tamperest.automata import (
 )
 from tamperest.errors import ValidationError
 from tamperest.estimator import estimate_least_cost
-from tamperest.matching import build_costed_matching_dfa
+from tamperest.reference import build_costed_matching_dfa
 
 from instances import random_plant
 

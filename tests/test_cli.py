@@ -1,10 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tamperest
@@ -18,6 +20,7 @@ DIAG_COSTS = str(fixtures.costs_path("diagnosable"))
 DEFE_PLANT = str(fixtures.plant_path("defeatable"))
 DEFE_COSTS = str(fixtures.costs_path("defeatable"))
 CONF_PLANT = str(fixtures.plant_path("confusable"))
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def run_cli(capsys, *argv):
@@ -256,10 +259,14 @@ def test_missing_file_exits_2(capsys):
     assert "not found" in json.loads(err)["error"]
 
 
-def _one_json_error(err) -> str:
+def _one_line(err) -> str:
     lines = err.splitlines()
-    assert len(lines) == 1
-    return json.loads(lines[0])["error"]
+    assert len(lines) == 1 and err.endswith("\n")
+    return lines[0]
+
+
+def _one_json_error(err) -> str:
+    return json.loads(_one_line(err))["error"]
 
 
 def test_directory_as_plant_exits_2(capsys, tmp_path):
@@ -352,6 +359,8 @@ def test_malformed_substitutions_exit_2(capsys, tmp_path):
         ([{"from": "α", "to": "γ", "cost": 1}, {"from": "α", "to": "γ", "cost": 2}], "duplicate"),
         ([{"from": ["α"], "to": "γ", "cost": 1}], "event names"),
         ([{"from": "α", "to": {"γ": 1}, "cost": 1}], "event names"),
+        (None, "'substitutions' must be a list"),
+        (3, "'substitutions' must be a list"),
     ]
     for substitutions, message in cases:
         costs.write_text(json.dumps({"substitutions": substitutions}))
@@ -651,3 +660,103 @@ def test_fixture_corpus_round_trips():
     for name in fixtures.COST_TABLES:
         model = fixtures.costs(name)
         assert model_from_dict(model_to_dict(model)) == model
+
+
+# -- fuzzed contract: any input exits 0, 2 or 3, never with a traceback ---------------
+
+_FUZZ_INPUTS = [
+    (fixtures.plant_path(plant), fixtures.costs_path(costs))
+    for plant, costs in zip(fixtures.PLANTS, fixtures.COST_TABLES)
+] + [(GOLDEN_INPUTS / "mixed_plant.json", GOLDEN_INPUTS / "mixed_costs.json")]
+_FUZZ_KEYS = (
+    "states", "observable", "unobservable", "faults", "initial", "transitions", "from",
+    "event", "to", "deletions", "insertions", "substitutions", "cost", "metadata",
+)
+_FUZZ_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 12),
+    st.sampled_from([0.5, 1.0, 10.0, 2**70, float("nan"), float("inf")]),
+    st.text(max_size=3),
+    st.sampled_from(["α", "β", "γ", "ζ", "σf", "a", "b", "c", "u", "", "ε"] + list(_FUZZ_KEYS)),
+)
+_FUZZ_VALUES = st.recursive(
+    _FUZZ_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.sampled_from(_FUZZ_KEYS) | st.text(max_size=2), children, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+def _slots(value) -> list:
+    """Every (container, key) inside a JSON value, the value itself first."""
+    slots, stack = [], [value]
+    while stack:
+        node = stack.pop()
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    return slots
+
+
+def _mutated(data, doc):
+    """`doc` after a few drawn edits: replace, delete or add an entry, or copy one elsewhere."""
+    doc = {"doc": doc}
+    for _ in range(data.draw(st.integers(0, 3))):
+        slots = _slots(doc)
+        node, key = data.draw(st.sampled_from(slots))
+        donor, donor_key = data.draw(st.sampled_from(slots))
+        value = data.draw(_FUZZ_VALUES | st.just(json.loads(json.dumps(donor[donor_key]))))
+        action = data.draw(st.sampled_from(("replace", "delete", "add")))
+        if action == "replace" or node is doc:
+            node[key] = value
+        elif action == "delete":
+            del node[key]
+        elif isinstance(node[key], list):
+            node[key].insert(data.draw(st.integers(0, len(node[key]))), value)
+        elif isinstance(node[key], dict):
+            node[key][data.draw(st.sampled_from(_FUZZ_KEYS))] = value
+    return doc["doc"]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_inputs_exit_0_2_or_3_with_one_json_error_line(tmp_path, data):
+    plant_path, costs_path = data.draw(st.sampled_from(_FUZZ_INPUTS))
+    plant = _mutated(data, json.loads(plant_path.read_text(encoding="utf-8")))
+    costs = _mutated(data, json.loads(costs_path.read_text(encoding="utf-8")))
+    (tmp_path / "plant.json").write_text(json.dumps(plant), encoding="utf-8")
+    (tmp_path / "costs.json").write_text(json.dumps(costs), encoding="utf-8")
+    command = data.draw(st.sampled_from(("estimate", "diagnose", "cmin")))
+    argv = [command, "--plant", str(tmp_path / "plant.json")]
+    if data.draw(st.booleans()):
+        argv += ["--attacks", str(tmp_path / "costs.json")]
+    symbols = st.sampled_from(["α", "β", "γ", "ζ", "σf", "a", "b", "c", "u", "zz"])
+    if command == "estimate":
+        argv.append("--obs=" + " ".join(data.draw(st.lists(symbols, max_size=6))))
+    if command != "cmin":
+        argv.append(f"--budget={data.draw(st.integers(-1, 4))}")
+    elif data.draw(st.booleans()):
+        argv += ["--faults", *data.draw(st.lists(symbols, min_size=1, max_size=2))]
+    if data.draw(st.booleans()):
+        argv.append("--witness")
+    dot_path = tmp_path / "out.dot"
+    if data.draw(st.booleans()):
+        argv += ["--dot", str(dot_path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
+    else:
+        assert code in (2, 3), argv
+        assert out.getvalue() == ""
+        assert "error" in json.loads(_one_line(err.getvalue()))
+    if code == 0 and "--dot" in argv:
+        assert dot_path.read_text(encoding="utf-8").startswith("digraph ")
+    dot_path.unlink(missing_ok=True)

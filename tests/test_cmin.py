@@ -22,7 +22,13 @@ from tamperest.cmin import (
     propagate_cost_labels,
     step_costs,
 )
-from tamperest.diagnoser import FAULTY, NORMAL, verify_diagnosability
+from tamperest.diagnoser import (
+    FAULTY,
+    NORMAL,
+    build_costed_plant,
+    build_twin_verifier,
+    verify_diagnosability,
+)
 from tamperest.errors import PreconditionError, ValidationError
 from tamperest.oracle import brute_force_minimum_budget
 
@@ -33,6 +39,32 @@ SF = "σf"
 
 
 # -- corrupted automaton -------------------------------------------------------------
+
+
+def test_corrupted_automaton_and_explicit_verifiers_are_read_only(
+    defeatable_plant, defeatable_costs
+):
+    """What `CminResult.corrupted` and `DiagnosisResult.corrupted` expose cannot be written to."""
+    result = analyze_minimum_budget(defeatable_plant, defeatable_costs)
+    corrupted = verify_diagnosability(defeatable_plant, defeatable_costs, budget=2).corrupted
+    for automaton in (result.corrupted, corrupted):
+        by_symbol = automaton.moves(1)
+        with pytest.raises(TypeError):
+            by_symbol[G][1] = frozenset({0})
+        with pytest.raises(TypeError):
+            by_symbol[G] = {}
+        with pytest.raises(TypeError):
+            automaton.moves(99)[G] = {}
+    assert result.corrupted.targets(1, G, 1) == frozenset({2})
+    verifiers = [
+        build_costed_twin_verifier(result.corrupted, defeatable_plant.faults),
+        build_twin_verifier(build_costed_plant(defeatable_plant, defeatable_costs, 2),
+                            defeatable_plant.faults),
+    ]
+    for verifier in verifiers:
+        q = min(verifier.initial, key=repr)
+        with pytest.raises(AttributeError):
+            verifier.outgoing(q).append(None)
 
 
 def test_attack_edges_carry_their_cost(defeatable_plant, defeatable_costs):

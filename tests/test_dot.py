@@ -1,8 +1,13 @@
 from tamperest import dot
 from tamperest.automata import build_observer
 from tamperest.cmin import build_corrupted_automaton, build_costed_twin_verifier
-from tamperest.estimator import build_product, reduce_product
-from tamperest.matching import build_costed_matching_dfa
+from tamperest.estimator import estimation_graph
+from tamperest.reference import (
+    build_costed_matching_dfa,
+    build_product,
+    matching_dfa_to_dot,
+    reduce_product,
+)
 
 
 def test_plant_dot_is_deterministic_and_complete(estimation_plant):
@@ -28,7 +33,7 @@ def test_observer_dot_renders_subset_literals(estimation_plant):
 
 def test_matching_dfa_dot_groups_stages(estimation_costs):
     dfa = build_costed_matching_dfa(("β", "α"), estimation_costs, 3)
-    text = dot.matching_dfa_to_dot(dfa)
+    text = matching_dfa_to_dot(dfa)
     assert "rank=same" in text
     assert '"(0,0)"' in text
     assert "i_β" in text
@@ -37,8 +42,9 @@ def test_matching_dfa_dot_groups_stages(estimation_costs):
 def test_product_dot_runs(estimation_plant, estimation_costs):
     dfa = build_costed_matching_dfa(("β", "α"), estimation_costs, 3)
     product = reduce_product(build_product(estimation_plant, dfa))
-    text = dot.product_to_dot(product)
-    assert text == dot.product_to_dot(product)
+    text = dot.product_to_dot(product.states, product.transitions)
+    graph = estimation_graph(estimation_plant, estimation_costs, ("β", "α"), 2)
+    assert text == dot.product_to_dot(*graph)
     assert "rank=same" in text
 
 

@@ -11,17 +11,18 @@ from tamperest.attacks import (
     project_received,
     total_cost,
 )
+from tamperest import dot
 from tamperest.automata import build_observer
 from tamperest.errors import ConfigurationError, ValidationError
-from tamperest.estimator import (
+from tamperest.estimator import estimate_least_cost, estimation_graph
+from tamperest.oracle import brute_force_estimate
+from tamperest.reference import (
+    build_costed_matching_dfa,
     build_product,
     ending_estimates,
-    estimate_least_cost,
     estimate_via_product,
     reduce_product,
 )
-from tamperest.matching import build_costed_matching_dfa
-from tamperest.oracle import brute_force_estimate
 
 from instances import random_attack_model, random_observation, random_plant
 
@@ -294,3 +295,26 @@ def test_budget_must_be_non_negative(estimation_plant, estimation_costs):
 def test_observation_symbols_must_be_observable(estimation_plant, estimation_costs):
     with pytest.raises(ValidationError):
         estimate_least_cost(estimation_plant, estimation_costs, ("ζ",), 1)
+
+
+# -- the reduced product, read off the sweep ----------------------------------------
+
+
+def test_estimation_graph_is_the_reduced_product():
+    rng = random.Random(97)
+    deletion_edges = 0
+    for i in range(1500):
+        plant = random_plant(rng, max_states=8)
+        model = random_attack_model(rng, p_del=(0.0, 0.3, 1.0)[i % 3])
+        word = random_observation(rng, max_len=8)
+        budget = rng.randint(0, 5)
+        states, transitions = estimation_graph(plant, model, word, budget)
+        dfa = build_costed_matching_dfa(word, model, budget + 1, alphabet=plant.observable)
+        reduced = reduce_product(build_product(plant, dfa))
+        assert states == reduced.states
+        assert transitions == reduced.transitions
+        assert dot.product_to_dot(states, transitions) == dot.product_to_dot(
+            reduced.states, reduced.transitions
+        )
+        deletion_edges += sum(isinstance(label, Del) for (_src, label, _dst) in transitions)
+    assert deletion_edges > 0

@@ -47,6 +47,8 @@ MID_SIZE = {
     "random43": 0,
     "random43del": 0,
 }
+#: A 12-symbol word on which `random43del` has 32 estimates, 11 over budget 3.
+RANDOM43DEL_WORD = "o5 o1 o3 o2 o1 o3 o1 o0 o1 o4 o4 o3"
 
 
 def _inputs(plant: str, costs: str) -> tuple:
@@ -85,6 +87,14 @@ def _cases() -> dict:
     )
     cases["estimate_estimation_empty"] = (
         ("estimate", *estimation, "--obs", "", "--budget", "1", "--witness"), False
+    )
+    cases["estimate_mixed_b3_long_dot"] = (
+        ("estimate", *MIXED, "--obs", "a a c a a", "--budget", "3"), True
+    )
+    cases["estimate_random43del_b3_dot"] = (
+        ("estimate", *_golden_inputs("random43del"), "--obs", RANDOM43DEL_WORD, "--budget", "3",
+         "--witness"),
+        True,
     )
     for name, value in MID_SIZE.items():
         inputs = _golden_inputs(name)

@@ -11,10 +11,8 @@ from tamperest.attacks import (
     total_cost,
 )
 from tamperest.errors import ValidationError
-from tamperest.matching import (
-    build_costed_matching_dfa,
-    build_matching_automaton,
-)
+from tamperest.matching import build_matching_automaton
+from tamperest.reference import build_costed_matching_dfa
 
 from instances import random_attack_model, random_observation
 

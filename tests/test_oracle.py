@@ -1,9 +1,13 @@
 import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import tamperest
+import tamperest.dot
 import tamperest.oracle
+import tamperest.reference
 from tamperest.attacks import AttackModel
 from tamperest.errors import OracleBudgetError
 from tamperest.oracle import (
@@ -18,27 +22,62 @@ from instances import random_plant
 WIDE = OracleBudget(max_states=8)
 
 
-def test_oracle_imports_no_engine_module():
-    """The oracle checks the engines only while it shares none of their code."""
-    with open(tamperest.oracle.__file__, encoding="utf-8") as handle:
+def _imported_modules(path) -> set:
+    """Dotted names of the modules a source file imports, relative imports resolved."""
+    with open(path, encoding="utf-8") as handle:
         tree = ast.parse(handle.read())
     modules = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            prefix = "tamperest." if node.level else ""
-            if node.module is None:  # from . import name
-                modules.update(prefix + alias.name for alias in node.names)
-            else:
-                modules.add(prefix + node.module)
+            module = node.module
+            if node.level:
+                module = "tamperest" + ("." + module if module else "")
+            modules.add(module)
+            if module == "tamperest":  # from . import name
+                modules.update(module + "." + alias.name for alias in node.names)
+    return modules
+
+
+def test_oracle_imports_no_engine_module():
+    """The oracle checks the engines only while it shares none of their code."""
     package = {
         name.partition(".")[2].split(".")[0]
-        for name in modules
-        if name.split(".")[0] == "tamperest"
+        for name in _imported_modules(tamperest.oracle.__file__)
+        if name.split(".")[0] == "tamperest" and name != "tamperest"
     }
     assert package == {"attacks", "automata", "errors"}
-    assert not package & {"cmin", "diagnoser", "estimator", "matching", "scc"}
+    assert not package & {"cmin", "diagnoser", "estimator", "matching", "reference", "scc"}
+
+
+#: What `tamperest.reference` holds: the paper's explicit estimation construction.
+REFERENCE_NAMES = (
+    "CostedMatchingDfa",
+    "ProductAutomaton",
+    "build_costed_matching_dfa",
+    "build_product",
+    "ending_estimates",
+    "estimate_via_product",
+    "matching_dfa_to_dot",
+    "reduce_product",
+)
+
+
+def test_only_the_tests_import_the_reference_module():
+    """Production reaches no reference code, and the package exports none of it."""
+    source = Path(tamperest.__file__).parent
+    modules = sorted(source.glob("*.py"))
+    assert source / "reference.py" in modules
+    for path in modules:
+        if path.name != "reference.py":
+            assert "tamperest.reference" not in _imported_modules(path), path.name
+    for name in REFERENCE_NAMES:
+        assert hasattr(tamperest.reference, name)
+        assert name not in tamperest.__all__ and not hasattr(tamperest, name)
+    for module in (tamperest.estimator, tamperest.matching, tamperest.dot):
+        assert not any(hasattr(module, name) for name in REFERENCE_NAMES)
+    assert "reference code" in tamperest.reference.__doc__.lower()
 
 
 def test_estimate_reduces_to_the_observer(estimation_plant, empty_model):
