@@ -226,7 +226,7 @@ def unobservable_cycle(plant: PlantNfa) -> Optional[list]:
     roots = [state for state in plant.order if state in reachable]
     for component in strongly_connected_components(roots, successors):
         if len(component) > 1 or component[0] in successors(component[0]):
-            nodes = cycle_within(component, successors)
+            nodes = cycle_within(component[0], successors)
             return [
                 (src, min(e for e in plant.unobservable if dst in plant.successors(src, e)), dst)
                 for src, dst in zip(nodes, nodes[1:])

@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``observer``, ``estimate``, ``diagnose``, ``cmin``,
-``export-dot``.  Exit codes: 0 success, 2 input/validation error,
-3 structural-precondition violation (``diagnose`` or ``cmin`` on a plant
-with a reachable dead state or cycle of unobservable events).  ``diagnose --budget
-C`` is non-diagnosable exactly when ``cmin <= C``; witnesses show a deleted
-symbol as ``ε``.
+``export-dot``.  Exit codes: 0 success, 2 input/validation error (a
+malformed option included), 3 structural-precondition violation
+(``diagnose`` or ``cmin`` on a plant with a reachable dead state or cycle
+of unobservable events).  ``diagnose --budget C`` is non-diagnosable
+exactly when ``cmin <= C``; witnesses show a deleted symbol as ``ε``.
 
 Output is canonical: identical inputs produce byte-identical output.  JSON
 goes through `_dumps`, which renders exactly what ``json.dumps(value,
@@ -240,8 +240,15 @@ def _cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise `ValidationError`, so `main` reports them like any input error."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tamperest",
         description=(
             "State estimation and fault-diagnosis analysis for partially "
@@ -299,9 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except json.JSONDecodeError as exc:
         return _fail(

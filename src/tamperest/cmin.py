@@ -10,24 +10,25 @@ cycle whose label pair stays mismatched.  The cheapest way in, measured as
 the larger of the two side costs, is the minimum defeating budget.
 
 `analyze_minimum_budget` computes it without building the verifier.  Per
-call, it builds the corrupted automaton, takes the plant's canonical state
-numbering (`PlantNfa.order`), numbers plant events (sorted) densely,
-tabulates each state's corrupted moves once, and encodes a twin state as
-one int; the attack rules live in `build_corrupted_automaton` alone.  It
-then generates successors on demand and runs a bi-objective label-setting
-search (Martins, EJOR 1984; Sedeño-Noda & Colebrook, EJOR 2019) over cost
-pairs ``(left, right)``, popping labels in ``(max, sum)`` order.  A label
-that dominates another never pops later, so every label that survives the
-dominance test on pop is final, and the first one at an ending state
-carries the answer.  No label is pushed where both sides are faulty:
-``FAULTY`` is absorbing, so such a state never leads to a mismatched one.
-Whether a popped state is ending is decided on demand: a breadth-first
-search over the cost-free mismatched subgraph stops at its first return to
-the state (the early exit of nested DFS; Courcoubetis et al., FMSD 1992),
-and only when it exhausts does one Tarjan pass classify the region it saw,
-so that no later pop searches it again.  Unobservable events move one side
-at a time: a joint move equals a left move followed by a right move at zero
-cost, so leaving it out changes neither reachability nor cost-free cycles.
+call, `build_corrupted_automaton` applies the attack rules once and interns
+the result as the engine's move table: plant states in their canonical
+numbering (`PlantNfa.order`), events numbered densely in sorted order, each
+state's moves sorted by event and cost.  The search reads that table as it
+stands, encodes a twin state as one int, generates successors on demand and
+runs a bi-objective label-setting search (Martins, EJOR 1984; Sedeño-Noda &
+Colebrook, EJOR 2019) over cost pairs ``(left, right)``, popping labels in
+``(max, sum)`` order.  A label that dominates another never pops later, so
+every label that survives the dominance test on pop is final, and the first
+one at an ending state carries the answer.  No label is pushed where both
+sides are faulty: ``FAULTY`` is absorbing, so such a state never leads to a
+mismatched one.  Whether a popped state is ending is decided on demand:
+`cycle_within`, a breadth-first search over the cost-free mismatched
+subgraph, stops at its first return to the state (the early exit of nested
+DFS; Courcoubetis et al., FMSD 1992), and only when it exhausts does one
+Tarjan pass classify the region it saw, so that no later pop searches it
+again.  Unobservable events move one side at a time: a joint move equals a
+left move followed by a right move at zero cost, so leaving it out changes
+neither reachability nor cost-free cycles.
 
 The same search decides diagnosability at a budget C: given ``budget=C`` it
 explores only attacks that cost each side at most C, so it finds a value
@@ -42,10 +43,11 @@ symbols on both sides.
 
 Below the engine, `build_costed_twin_verifier` is the engine's own verifier
 made explicit, for ``--dot`` and the tests: it exhausts `_LazyTwin.steps`
-and states no move rule of its own.  `find_free_confusion_states` (one
-whole-graph SCC pass) and `propagate_cost_labels` (FIFO label correcting)
-are independent reference searches over it; the tests check the engine's
-ending test and label-setting search against them.
+over the same table and states no move rule of its own.
+`find_free_confusion_states` (one whole-graph SCC pass) and
+`propagate_cost_labels` (FIFO label correcting) are independent reference
+searches over it; the tests check the engine's ending test and
+label-setting search against them.
 """
 
 from __future__ import annotations
@@ -127,56 +129,68 @@ class CminResult:
         return self.value is not None
 
 
-_NO_MOVES: Mapping = MappingProxyType({})
-
-
 @dataclass(frozen=True, eq=False)
 class CorruptedAutomaton:
-    """Plant with attack actions as (event, cost)-labelled edges.
+    """Plant with attack actions as (event, cost)-labelled edges, interned once.
 
-    ``moves(x)`` maps each plant event, observed symbol or the empty symbol
-    (deletions) to ``{cost: targets}``: plant moves cost 0, a deletion is an
-    empty edge, an insertion a self-loop, and a substitution follows the
-    original symbol.  Identity stays ``(empty, 0)`` are implicit and never
-    materialised.  The maps are read-only copies of the ones passed in.
+    Plant state ``x`` is ``plant.order[x]`` and event ``e`` is
+    ``symbols[e]``: `EPSILON` (a deletion observes nothing) is event 0 and
+    the plant events follow in sorted order.  Per state index,
+    ``observed[x]`` maps each observable event to its ``(cost, targets)``
+    moves in cost order, targets as sorted state indices: plant moves cost
+    0, an insertion is a self-loop and a substitution follows the original
+    symbol.  Event 0 starts at the zero-cost stay ``(0, (x,))`` and goes on
+    with the deletions.  ``silent[x]`` holds ``(event, targets)`` per
+    unobservable plant event, all at cost 0.  Every table is read-only.
     """
 
     plant: PlantNfa
     model: AttackModel
-    _moves: Mapping = field(repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        moves = {x: MappingProxyType({e: MappingProxyType(dict(c)) for e, c in m.items()})
-                 for x, m in (self._moves or {}).items()}
-        object.__setattr__(self, "_moves", MappingProxyType(moves))
-
-    def moves(self, state) -> Mapping:
-        return self._moves.get(state, _NO_MOVES)
+    symbols: tuple = field(repr=False)
+    observed: tuple = field(repr=False)
+    silent: tuple = field(repr=False)
 
     def targets(self, state, symbol: str, cost: int) -> frozenset:
-        return self.moves(state).get(symbol, {}).get(cost, frozenset())
+        """Plant states one `symbol` edge of this `cost` away; `EPSILON` at 0 is the stay."""
+        x = self.plant.index.get(state)
+        if x is None or symbol not in self.symbols:
+            return frozenset()
+        e = self.symbols.index(symbol)
+        moves = self.observed[x].get(e, ()) + tuple((0, t) for (s, t) in self.silent[x] if s == e)
+        order = self.plant.order
+        return frozenset(order[t] for (c, targets) in moves if c == cost for t in targets)
 
 
 def build_corrupted_automaton(plant: PlantNfa, model: AttackModel) -> CorruptedAutomaton:
+    """The one place that applies the attack rules and numbers and sorts the moves."""
     model.validate_against(plant)
-    moves: dict = {}
-
-    def add(state, symbol, cost, targets):
-        if not targets:
-            return
-        bucket = moves.setdefault(state, {}).setdefault(symbol, {})
-        bucket[cost] = bucket.get(cost, frozenset()) | frozenset(targets)
-
-    for (state, event, dst) in plant.transitions:
-        add(state, event, 0, (dst,))
-    for state in plant.states:
-        for symbol, cost in model.deletions.items():
-            add(state, EPSILON, cost, plant.successors(state, symbol))
-        for symbol, cost in model.insertions.items():
-            add(state, symbol, cost, frozenset({state}))
-        for (original, observed), cost in model.substitutions.items():
-            add(state, observed, cost, plant.successors(state, original))
-    return CorruptedAutomaton(plant=plant, model=model, _moves=moves)
+    index = plant.index
+    symbols = (EPSILON,) + tuple(sorted(plant.alphabet))
+    event = {symbol: e for e, symbol in enumerate(symbols)}
+    unobservable = {event[symbol] for symbol in plant.unobservable}
+    observed, silent = [], []
+    for x, state in enumerate(plant.order):
+        edges = [(symbol, 0, plant.successors(state, symbol)) for symbol in symbols[1:]]
+        edges += [(EPSILON, c, plant.successors(state, s)) for s, c in model.deletions.items()]
+        edges += [(s, c, (state,)) for s, c in model.insertions.items()]
+        edges += [
+            (observed_as, c, plant.successors(state, original))
+            for (original, observed_as), c in model.substitutions.items()
+        ]
+        moves: dict = {(0, 0): {x}}  # (event, cost) -> target indices
+        for symbol, cost, targets in edges:
+            if targets:
+                moves.setdefault((event[symbol], cost), set()).update(index[t] for t in targets)
+        by_event: dict = {}
+        for (e, cost) in sorted(moves):
+            by_event.setdefault(e, []).append((cost, tuple(sorted(moves[e, cost]))))
+        observed.append(MappingProxyType(
+            {e: tuple(by_cost) for e, by_cost in by_event.items() if e not in unobservable}
+        ))
+        silent.append(
+            tuple((e, by_cost[0][1]) for e, by_cost in by_event.items() if e in unobservable)
+        )
+    return CorruptedAutomaton(plant, model, symbols, tuple(observed), tuple(silent))
 
 
 def analyze_minimum_budget(
@@ -235,48 +249,29 @@ _FAULTY_BIT, _NORMAL_BIT = 0, 1
 
 
 class _LazyTwin:
-    """The costed twin verifier over dense ints, explored on demand.
+    """The costed twin verifier over the corrupted automaton's tables, explored on demand.
 
-    Plant state ``x`` is ``states[x]``, the plant's own canonical numbering
-    (`PlantNfa.order` and `PlantNfa.index`), and event ``e`` is
-    ``symbols[e]``, with `EPSILON` as event 0.  A twin state
-    ``(x, l1, y, l2)`` is the int ``(2x + b1) * width + 2y + b2``, where
-    ``b`` is the index of the label in `_LABELS`; int order is therefore the
-    canonical state order.
+    A twin state ``(x, l1, y, l2)`` over plant state indices is the int
+    ``(2x + b1) * width + 2y + b2``, where ``b`` is the index of the label
+    in `_LABELS`; int order is therefore the canonical state order.  The
+    only table added here flags the fault events.
     """
 
     def __init__(self, corrupted: CorruptedAutomaton, faults: frozenset, budget):
         plant = corrupted.plant
         self.states = plant.order
-        self.symbols = [EPSILON] + sorted(plant.alphabet)
+        self.symbols = corrupted.symbols
+        self.observed = corrupted.observed
+        self.silent = corrupted.silent
+        self.faulty = tuple(symbol in faults for symbol in self.symbols)
         self.width = 2 * len(self.states)
         self.budget = float("inf") if budget is None else budget
-        index = plant.index
-        event = {symbol: e for e, symbol in enumerate(self.symbols)}
-        #: per state, observed event -> ((cost, targets), ...) by cost; event 0
-        #: (deletions) always starts with the zero-cost stay
-        self.observed = []
-        #: per state, ((event, is_fault, targets), ...) for unobservable events
-        self.silent = []
-        for x, state in enumerate(self.states):
-            observed: dict = {0: [(0, (x,))]}
-            silent = []
-            for symbol, by_cost in sorted(corrupted.moves(state).items()):
-                moves = [
-                    (cost, tuple(sorted(index[t] for t in by_cost[cost])))
-                    for cost in sorted(by_cost)
-                ]
-                if symbol in plant.unobservable:  # one move, at cost 0
-                    silent.append((event[symbol], symbol in faults, moves[0][1]))
-                else:
-                    observed.setdefault(event[symbol], []).extend(moves)
-            self.observed.append({e: tuple(moves) for e, moves in observed.items()})
-            self.silent.append(tuple(silent))
-        self.initial = sorted(
-            (2 * index[x] + _NORMAL_BIT) * self.width + 2 * index[y] + _NORMAL_BIT
-            for x in plant.initial
-            for y in plant.initial
-        )
+        initial = [x for x, state in enumerate(self.states) if state in plant.initial]
+        self.initial = [
+            (2 * x + _NORMAL_BIT) * self.width + 2 * y + _NORMAL_BIT
+            for x in initial
+            for y in initial
+        ]
         self.labels = []  # settled labels: (state, left, right, parent label or -1)
         self._free: dict = {}
         self._ending: dict = {}  # classified mismatched state -> whether it is ending
@@ -316,11 +311,12 @@ class _LazyTwin:
                         for lt in left_targets
                         for rt in right_targets
                     ]
-        for e, fault, targets in self.silent[x]:
-            label = _FAULTY_BIT if fault else b1
+        faulty = self.faulty
+        for e, targets in self.silent[x]:
+            label = _FAULTY_BIT if faulty[e] else b1
             yield e, "L", 0, 0, [(2 * lt + label) * width + b for lt in targets]
-        for e, fault, targets in self.silent[y]:
-            label = _FAULTY_BIT if fault else b2
+        for e, targets in self.silent[y]:
+            label = _FAULTY_BIT if faulty[e] else b2
             yield e, "R", 0, 0, [a * width + 2 * rt + label for rt in targets]
 
     def successors(self, code: int):
@@ -343,51 +339,26 @@ class _LazyTwin:
             self._free[code] = free
         return free
 
-    def return_path(self, code: int, skip=()) -> Optional[list]:
-        """A cost-free mismatched cycle ``[code, ..., code]``, or None when there is none.
-
-        Breadth-first over :meth:`free_successors`, passing over the states
-        in `skip`; it stops at the first edge back to `code`.  Every node on
-        a path from `code` back to itself lies in the strongly connected
-        component of `code`, and a state outside it never leads back, so the
-        path is the one `cycle_within` finds inside that component.
-        """
-        parent = {code: None}
-        order = [code]
-        for node in order:
-            for dst in self.free_successors(node):
-                if dst == code:
-                    path = [code]
-                    while node is not None:
-                        path.append(node)
-                        node = parent[node]
-                    path.reverse()
-                    return path
-                if dst not in parent and dst not in skip:
-                    parent[dst] = node
-                    order.append(dst)
-        return None
-
     def is_ending(self, code: int) -> bool:
         """Mismatched and on a cost-free mismatched cycle.
 
-        An unclassified state first gets :meth:`return_path`, which passes
-        over classified states: their regions are complete, so none of them
-        leads back.  Only when that search exhausts does one Tarjan pass
-        classify the region it saw, so each state is expanded at most twice.
-        A found cycle classifies nothing: `_ending` holds whole regions only.
+        An unclassified state first gets `cycle_within` over the unclassified
+        free successors: a classified state's region is complete, so it
+        neither leads back nor joins a new component.  Only when that search
+        exhausts does one Tarjan pass classify the region it saw, so each
+        state is expanded at most twice.  A found cycle classifies nothing:
+        `_ending` holds whole regions only.
         """
         if not self.mismatched(code):
             return False
         known = self._ending
         if code not in known:
-            if self.return_path(code, known) is not None:
-                return True
 
-            # a classified state's component is complete, so it cannot join a new one
             def fresh(q):
                 return [dst for dst in self.free_successors(q) if dst not in known]
 
+            if cycle_within(code, fresh) is not None:
+                return True
             for component in strongly_connected_components([code], fresh):
                 head = component[0]
                 cyclic = len(component) > 1 or head in self._free[head]
@@ -463,7 +434,7 @@ class _LazyTwin:
 
     def cycle_steps(self, code: int) -> tuple:
         """Steps of a cost-free mismatched cycle from the ending state `code` back to it."""
-        nodes = self.return_path(code)
+        nodes = cycle_within(code, self.free_successors)
         return tuple(self.step(a, b, 0, 0) for a, b in zip(nodes, nodes[1:]))
 
 
@@ -597,7 +568,7 @@ def find_free_confusion_states(verifier: CostedTwinVerifier):
     for component in components:
         if len(component) > 1 or component[0] in successors(component[0]):
             anchored |= frozenset(component)
-            cycles.append(tuple(cycle_within(component, successors)))
+            cycles.append(tuple(cycle_within(component[0], successors)))
     cycles.sort(key=lambda nodes: _vstate_sort_key(nodes[0]))
     return anchored, cycles
 

@@ -267,7 +267,7 @@ def find_confused_cycle(verifier: TwinVerifier) -> Optional[ConfusedCycle]:
     if not cyclic:
         return None
     component = min(cyclic, key=lambda comp: min(_state_sort_key(q) for q in comp))
-    nodes = cycle_within(component, successors)
+    nodes = cycle_within(component[0], successors)
     cycle_steps = tuple(
         _step_between(verifier, a, b, restrict=mismatched)
         for a, b in zip(nodes, nodes[1:])

@@ -18,10 +18,8 @@ from .attacks import (
     AttackModel,
     Del,
     Ins,
-    Label,
     Plain,
     Sub,
-    label_cost,
     label_sort_key,
 )
 from .errors import ValidationError
@@ -31,16 +29,13 @@ from .errors import ValidationError
 class MatchingAutomaton:
     """Stage machine over plain symbols and attack labels.
 
-    States are the integers ``0 .. len(received)``; the transition map is
-    deterministic and partial.
+    States are the integers ``0 .. len(received)``.  Every stage loops on
+    `loop_labels` and moves on `advancing_labels(stage)` to the next one;
+    no other move exists.
     """
 
     received: tuple
     model: AttackModel
-
-    @property
-    def stages(self) -> range:
-        return range(len(self.received) + 1)
 
     @property
     def final_stage(self) -> int:
@@ -62,41 +57,6 @@ class MatchingAutomaton:
             if observed == symbol:
                 labels.append(Sub(original, observed))
         return tuple(sorted(labels, key=label_sort_key))
-
-    def step(self, stage: int, label: Label) -> Optional[int]:
-        if isinstance(label, Del):
-            return stage if label.symbol in self.model.deletions else None
-        if stage < self.final_stage and label in self.advancing_labels(stage):
-            return stage + 1
-        return None
-
-    def transitions(self):
-        for stage in self.stages:
-            for label in self.loop_labels():
-                yield stage, label, stage
-            for label in self.advancing_labels(stage):
-                yield stage, label, stage + 1
-
-    def language(self, max_cost: int) -> list:
-        """Label sequences accepted at the final stage with cost <= `max_cost`."""
-        out = []
-
-        def walk(stage: int, labels: tuple, spent: int):
-            if stage == self.final_stage:
-                out.append((labels, spent))
-            for label in self.loop_labels():
-                cost = label_cost(label, self.model)
-                if spent + cost <= max_cost:
-                    walk(stage, labels + (label,), spent + cost)
-            if stage < self.final_stage:
-                for label in self.advancing_labels(stage):
-                    cost = label_cost(label, self.model)
-                    if spent + cost <= max_cost:
-                        walk(stage + 1, labels + (label,), spent + cost)
-
-        walk(0, (), 0)
-        out.sort(key=lambda pair: (pair[1], len(pair[0]), [label_sort_key(l) for l in pair[0]]))
-        return out
 
 
 def build_matching_automaton(

@@ -8,6 +8,8 @@ uses ``B = C + 1``), `build_product` synchronises it with the plant,
 `ending_estimates` reads the final stage.  The tests check the production
 sweep, `estimate_least_cost` and `estimation_graph`, against these; the
 product calls ``PlantNfa.reach`` itself, so it shares no table with them.
+`matching_language` lists the stage machine's label sequences up to a
+cost, which the tests compare with `enumerate_matching`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .automata import PlantNfa, sort_key
 from .dot import _q
 from .errors import ConfigurationError, ValidationError
 from .estimator import Estimate
-from .matching import build_matching_automaton
+from .matching import MatchingAutomaton, build_matching_automaton
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +73,26 @@ class CostedMatchingDfa:
     def labels(self) -> tuple:
         seen = {label for (_state, label) in self.transitions}
         return tuple(sorted(seen, key=label_sort_key))
+
+
+def matching_language(machine: MatchingAutomaton, max_cost: int) -> list:
+    """Label sequences `machine` accepts at its final stage with cost <= `max_cost`."""
+    out = []
+    model = machine.model
+
+    def walk(stage: int, labels: tuple, spent: int):
+        if stage == machine.final_stage:
+            out.append((labels, spent))
+        moves = [(label, stage) for label in machine.loop_labels()]
+        moves += [(label, stage + 1) for label in machine.advancing_labels(stage)]
+        for label, next_stage in moves:
+            cost = label_cost(label, model)
+            if spent + cost <= max_cost:
+                walk(next_stage, labels + (label,), spent + cost)
+
+    walk(0, (), 0)
+    out.sort(key=lambda pair: (pair[1], len(pair[0]), [label_sort_key(l) for l in pair[0]]))
+    return out
 
 
 def build_costed_matching_dfa(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, List
+from typing import Callable, Hashable, Iterable, List, Optional
 
 
 def strongly_connected_components(
@@ -62,34 +62,27 @@ def strongly_connected_components(
     return components
 
 
-def cycle_within(
-    component: list, successors: Callable[[Hashable], Iterable[Hashable]]
-) -> list:
-    """A cycle of nodes inside one SCC that contains an edge.
+def cycle_within(start, successors: Callable[[Hashable], Iterable[Hashable]]) -> Optional[list]:
+    """A shortest cycle ``[start, ..., start]`` through `start`, or None when there is none.
 
-    Returns the node sequence ``[n0, n1, ..., n0]``.  The component must
-    either have more than one node or a self-loop.
+    Breadth-first from `start`; it stops at the first edge back to it.  A
+    node on a path from `start` back to itself lies in the strongly
+    connected component of `start`, and a node outside it never leads back,
+    so the path is the same whether or not `successors` is restricted to
+    that component.
     """
-    members = set(component)
-    start = component[0]
-    if len(component) == 1:
-        if start in successors(start):
-            return [start, start]
-        raise ValueError("singleton component without a self-loop has no cycle")
-    # DFS from start back to start through component members only
     parent = {start: None}
     order = [start]
     for node in order:
         for nxt in successors(node):
             if nxt == start:
                 path = [start]
-                walk = node
-                while walk is not None:
-                    path.append(walk)
-                    walk = parent[walk]
+                while node is not None:
+                    path.append(node)
+                    node = parent[node]
                 path.reverse()
                 return path
-            if nxt in members and nxt not in parent:
+            if nxt not in parent:
                 parent[nxt] = node
                 order.append(nxt)
-    raise ValueError("component is not strongly connected")
+    return None

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -267,6 +268,26 @@ def _one_line(err) -> str:
 
 def _one_json_error(err) -> str:
     return json.loads(_one_line(err))["error"]
+
+
+def test_malformed_options_exit_2_with_one_json_error_line(capsys):
+    cases = [
+        (("estimate", "--plant", "x", "--obs", "a", "--budget", "x"), "invalid int value: 'x'"),
+        (("cmin", "--plant"), "expected one argument"),
+        (("cmin", "--plant", CONF_PLANT, "--budget", "1"), "unrecognized arguments"),
+        ((), "required: command"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in _one_json_error(err)
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["cmin", "--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tamperest cmin")
 
 
 def test_directory_as_plant_exits_2(capsys, tmp_path):
@@ -739,7 +760,8 @@ def test_fuzzed_inputs_exit_0_2_or_3_with_one_json_error_line(tmp_path, data):
     if command == "estimate":
         argv.append("--obs=" + " ".join(data.draw(st.lists(symbols, max_size=6))))
     if command != "cmin":
-        argv.append(f"--budget={data.draw(st.integers(-1, 4))}")
+        budgets = st.integers(-1, 4).map(str) | st.sampled_from(["", "x", "1.5", "2e1"])
+        argv.append(f"--budget={data.draw(budgets)}")
     elif data.draw(st.booleans()):
         argv += ["--faults", *data.draw(st.lists(symbols, min_size=1, max_size=2))]
     if data.draw(st.booleans()):
@@ -747,6 +769,8 @@ def test_fuzzed_inputs_exit_0_2_or_3_with_one_json_error_line(tmp_path, data):
     dot_path = tmp_path / "out.dot"
     if data.draw(st.booleans()):
         argv += ["--dot", str(dot_path)]
+    if data.draw(st.integers(0, 9)) == 0:
+        argv.append(data.draw(st.sampled_from(["--plant", "--attacks", "--dot", "--faults"])))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -47,14 +47,19 @@ def test_corrupted_automaton_and_explicit_verifiers_are_read_only(
     """What `CminResult.corrupted` and `DiagnosisResult.corrupted` expose cannot be written to."""
     result = analyze_minimum_budget(defeatable_plant, defeatable_costs)
     corrupted = verify_diagnosability(defeatable_plant, defeatable_costs, budget=2).corrupted
+    x = defeatable_plant.index[1]
     for automaton in (result.corrupted, corrupted):
-        by_symbol = automaton.moves(1)
+        by_event = automaton.observed[x]
+        g = automaton.symbols.index(G)
+        assert by_event[g] == ((1, (defeatable_plant.index[2],)),)
         with pytest.raises(TypeError):
-            by_symbol[G][1] = frozenset({0})
+            by_event[g] = ()
         with pytest.raises(TypeError):
-            by_symbol[G] = {}
+            automaton.observed[x] = {}
         with pytest.raises(TypeError):
-            automaton.moves(99)[G] = {}
+            automaton.silent[x] = ()
+        with pytest.raises(AttributeError):
+            automaton.observed = ()
     assert result.corrupted.targets(1, G, 1) == frozenset({2})
     verifiers = [
         build_costed_twin_verifier(result.corrupted, defeatable_plant.faults),
@@ -82,10 +87,14 @@ def test_zero_cost_edges_reproduce_the_plant(defeatable_plant, defeatable_costs)
 
 def test_empty_model_keeps_only_plant_edges(confusable_plant):
     corrupted = build_corrupted_automaton(confusable_plant, AttackModel.empty())
-    for state in confusable_plant.states:
-        for symbol, by_cost in corrupted.moves(state).items():
-            assert set(by_cost) == {0}
-            assert by_cost[0] == confusable_plant.successors(state, symbol)
+    assert corrupted.symbols == (EPSILON, *sorted(confusable_plant.alphabet))
+    for x, state in enumerate(confusable_plant.order):
+        assert corrupted.observed[x][0] == ((0, (x,)),)  # the stay, and no deletion
+        for e, moves in corrupted.observed[x].items():
+            assert [cost for cost, _targets in moves] == [0]
+        for symbol in confusable_plant.alphabet:
+            assert corrupted.targets(state, symbol, 0) == confusable_plant.successors(state, symbol)
+            assert corrupted.targets(state, symbol, 1) == frozenset()
 
 
 def test_deletions_produce_empty_observations():
@@ -101,6 +110,50 @@ def test_deletions_produce_empty_observations():
     )
     corrupted = build_corrupted_automaton(plant, AttackModel({"a": 2}, {}, {}))
     assert corrupted.targets(0, EPSILON, 2) == frozenset({1})
+
+
+def _attacked_targets(plant, model, state, symbol, cost) -> frozenset:
+    """The attack rules read off the plant and the model, one edge at a time."""
+    if symbol == EPSILON:
+        if cost == 0:
+            return frozenset({state})
+        found = [plant.successors(state, s) for s, c in model.deletions.items() if c == cost]
+    else:
+        found = [plant.successors(state, symbol)] if cost == 0 else []
+        if model.insertions.get(symbol) == cost:
+            found.append({state})
+        found += [
+            plant.successors(state, original)
+            for (original, observed), c in model.substitutions.items()
+            if observed == symbol and c == cost
+        ]
+    return frozenset().union(*found)
+
+
+def test_tables_are_canonical_and_follow_the_attack_rules():
+    """Keys, costs and targets come out sorted, so no table depends on hash order."""
+    rng = random.Random(131)
+    for _ in range(40):
+        plant = random_plant(rng, max_states=5, with_fault=True)
+        model = random_attack_model(rng, max_cost=3, p_del=0.3, p_ins=0.3, p_sub=0.3)
+        corrupted = build_corrupted_automaton(plant, model)
+        assert corrupted.symbols == (EPSILON, *sorted(plant.alphabet))
+        for x, state in enumerate(plant.order):
+            observed, silent = corrupted.observed[x], corrupted.silent[x]
+            assert list(observed) == sorted(observed) and observed[0][0] == (0, (x,))
+            assert [e for e, _targets in silent] == sorted(e for e, _targets in silent)
+            assert {corrupted.symbols[e] for e in observed} <= {EPSILON} | plant.observable
+            assert {corrupted.symbols[e] for e, _targets in silent} <= plant.unobservable
+            for moves in observed.values():
+                assert [c for c, _targets in moves] == sorted({c for c, _targets in moves})
+            for targets in [t for moves in observed.values() for _c, t in moves] + [
+                t for _e, t in silent
+            ]:
+                assert targets and list(targets) == sorted(set(targets))
+            for symbol in corrupted.symbols:
+                for cost in range(4):
+                    expected = _attacked_targets(plant, model, state, symbol, cost)
+                    assert corrupted.targets(state, symbol, cost) == expected
 
 
 # -- costed twin verifier ---------------------------------------------------------------

@@ -12,7 +12,7 @@ from tamperest.attacks import (
 )
 from tamperest.errors import ValidationError
 from tamperest.matching import build_matching_automaton
-from tamperest.reference import build_costed_matching_dfa
+from tamperest.reference import build_costed_matching_dfa, matching_language
 
 from instances import random_attack_model, random_observation
 
@@ -24,22 +24,25 @@ A, B, G = "α", "β", "γ"
 
 def test_stage_machine_structure(estimation_costs):
     machine = build_matching_automaton((B, A, A), estimation_costs)
-    assert list(machine.stages) == [0, 1, 2, 3]
+    assert machine.final_stage == 3
     assert set(machine.advancing_labels(0)) == {Plain(B), Ins(B), Sub(A, B)}
     assert set(machine.advancing_labels(1)) == {Plain(A), Sub(G, A)}
     assert set(machine.advancing_labels(2)) == {Plain(A), Sub(G, A)}
+    assert machine.advancing_labels(3) == ()
     assert machine.loop_labels() == (Del(A),)
-    for stage in machine.stages:
-        assert machine.step(stage, Del(A)) == stage
-    listed = set(machine.transitions())
-    assert (0, Del(A), 0) in listed
-    assert (0, Sub(A, B), 1) in listed
-    assert len(listed) == 4 * 1 + 3 + 2 + 2  # a loop per stage plus the advances
+    moves = [
+        (stage, label, stage) for stage in range(4) for label in machine.loop_labels()
+    ] + [
+        (stage, label, stage + 1) for stage in range(4) for label in machine.advancing_labels(stage)
+    ]
+    assert (0, Del(A), 0) in moves
+    assert (0, Sub(A, B), 1) in moves
+    assert len(set(moves)) == len(moves) == 4 * 1 + 3 + 2 + 2  # a loop per stage plus the advances
 
 
 def test_empty_observation_machine(estimation_costs):
     machine = build_matching_automaton((), estimation_costs)
-    assert list(machine.stages) == [0]
+    assert machine.final_stage == 0
     assert machine.advancing_labels(0) == ()
     assert machine.loop_labels() == (Del(A),)
 
@@ -52,7 +55,7 @@ def test_machine_rejects_symbols_outside_alphabet(estimation_costs):
 def test_machine_language_agrees_with_enumeration(estimation_costs):
     machine = build_matching_automaton((B, A, A), estimation_costs)
     expected = [(cs.labels, cs.cost) for cs in enumerate_matching((B, A, A), estimation_costs, 2)]
-    assert machine.language(2) == expected
+    assert matching_language(machine, 2) == expected
 
 
 def test_machine_language_agrees_on_random_instances():
@@ -62,7 +65,7 @@ def test_machine_language_agrees_on_random_instances():
         word = random_observation(rng)
         budget = rng.randint(0, 3)
         machine = build_matching_automaton(word, model)
-        got = set(machine.language(budget))
+        got = set(matching_language(machine, budget))
         expected = {(cs.labels, cs.cost) for cs in enumerate_matching(word, model, budget)}
         assert got == expected
 
@@ -130,7 +133,7 @@ def test_saturation_pins_expensive_runs_to_the_bound():
         bound = rng.randint(0, 2)
         dfa = build_costed_matching_dfa(word, model, bound)
         machine = build_matching_automaton(word, model)
-        for labels, cost in machine.language(bound + 3):
+        for labels, cost in matching_language(machine, bound + 3):
             state = dfa.run(labels)
             assert state is not None
             assert state == (len(word), min(cost, bound))
@@ -153,7 +156,7 @@ def test_accepted_language_agrees_below_the_bound():
         machine = build_matching_automaton(word, model)
         accepted = {
             labels
-            for labels, _cost in machine.language(budget)
+            for labels, _cost in matching_language(machine, budget)
             if dfa.run(labels) is not None and dfa.run(labels)[1] <= budget
         }
         expected = {cs.labels for cs in enumerate_matching(word, model, budget)}

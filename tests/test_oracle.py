@@ -51,7 +51,8 @@ def test_oracle_imports_no_engine_module():
     assert not package & {"cmin", "diagnoser", "estimator", "matching", "reference", "scc"}
 
 
-#: What `tamperest.reference` holds: the paper's explicit estimation construction.
+#: What `tamperest.reference` holds: the paper's explicit estimation construction
+#: and the stage machine's language.
 REFERENCE_NAMES = (
     "CostedMatchingDfa",
     "ProductAutomaton",
@@ -60,6 +61,7 @@ REFERENCE_NAMES = (
     "ending_estimates",
     "estimate_via_product",
     "matching_dfa_to_dot",
+    "matching_language",
     "reduce_product",
 )
 

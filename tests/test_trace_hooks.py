@@ -40,3 +40,25 @@ def test_traced_commands_record_their_spans(monkeypatch):
     spans = {span[0] for span in tracer.spans}
     assert {"estimator.estimate", "cmin.analyze"} <= spans
     assert tracer.calls["automata.reach"] > 0
+
+
+def test_traced_cmin_witness_records_the_corrupted_automaton_and_cycle_search(monkeypatch):
+    """The witness cycle and the ending test both run `scc.cycle_within`, so its metric is not 0."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    argv = [
+        "cmin",
+        "--plant", str(fixtures.plant_path("defeatable")),
+        "--attacks", str(fixtures.costs_path("defeatable")),
+        "--witness",
+    ]
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    finally:
+        tracer.unpatch()
+    assert "cmin.corrupted" in {span[0] for span in tracer.spans}
+    assert tracer.calls["scc.cycle_within"] > 0
