@@ -14,20 +14,14 @@ table, and an attacker budget:
 
 from .attacks import (
     AttackModel,
-    CostedSequence,
     Del,
     Ins,
     Plain,
     Sub,
-    enumerate_matching,
-    enumerate_tampered,
-    label_cost,
     load_model,
     model_from_dict,
     model_to_dict,
     project_original,
-    project_received,
-    total_cost,
 )
 from .automata import (
     ObserverDfa,
@@ -67,7 +61,6 @@ from .errors import (
     ValidationError,
 )
 from .estimator import Estimate, estimate_least_cost, estimation_graph
-from .matching import MatchingAutomaton, build_matching_automaton
 from . import fixtures
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Attacker capabilities, per-action costs, and bounded enumeration.
+"""Attacker capabilities, per-action costs, and attack labels.
 
 An attacker may delete, insert, or substitute observable symbols; every
 action carries a strictly positive integer cost.  Matching sequences relabel
@@ -6,9 +6,9 @@ a received observation with hypothesised attack actions: ``Del``/``Ins``/
 ``Sub`` labels mark a deletion, insertion, or substitution, while ``Plain``
 marks an untouched symbol.
 
-The two enumerators here (`enumerate_tampered`, `enumerate_matching`) are
-exact but exponential and intended for tests and desk-scale inputs; the
-automaton constructions in :mod:`tamperest.matching` cover the general case.
+The exact but exponential enumerators of tampered words and of matching
+sequences are test code: `enumerate_matching` lives in
+:mod:`tamperest.oracle`, `enumerate_tampered` in :mod:`tamperest.reference`.
 """
 
 from __future__ import annotations
@@ -74,14 +74,6 @@ def label_to_dict(label: Label) -> dict:
 
 
 @dataclass(frozen=True)
-class CostedSequence:
-    """A matching label sequence together with its recovery cost."""
-
-    labels: tuple
-    cost: int
-
-
-@dataclass(frozen=True)
 class AttackModel:
     """Deletable/insertable symbols and substitution pairs with their costs.
 
@@ -141,35 +133,6 @@ def check_budget(value, what: str = "budget", minimum: int = 0) -> int:
     return value
 
 
-def label_cost(label: Label, model: AttackModel) -> int:
-    """Cost of recovering one label: 0 for untouched symbols."""
-    if isinstance(label, Plain):
-        return 0
-    if isinstance(label, Del):
-        try:
-            return model.deletions[label.symbol]
-        except KeyError:
-            raise ValidationError(f"{label.symbol!r} is not deletable under this model") from None
-    if isinstance(label, Ins):
-        try:
-            return model.insertions[label.symbol]
-        except KeyError:
-            raise ValidationError(f"{label.symbol!r} is not insertable under this model") from None
-    if isinstance(label, Sub):
-        try:
-            return model.substitutions[(label.original, label.observed)]
-        except KeyError:
-            raise ValidationError(
-                f"substitution {label.original!r} -> {label.observed!r} "
-                "is not allowed under this model"
-            ) from None
-    raise ValidationError(f"not an attack label: {label!r}")
-
-
-def total_cost(labels: Sequence[Label], model: AttackModel) -> int:
-    return sum(label_cost(label, model) for label in labels)
-
-
 def project_original(labels: Sequence[Label]) -> tuple:
     """The pre-attack observation a label sequence explains.
 
@@ -185,86 +148,6 @@ def project_original(labels: Sequence[Label]) -> tuple:
         elif not isinstance(label, Ins):
             raise ValidationError(f"not an attack label: {label!r}")
     return tuple(out)
-
-
-def project_received(labels: Sequence[Label]) -> tuple:
-    """The observation the estimation unit received, reassembled from labels."""
-    out = []
-    for label in labels:
-        if isinstance(label, (Plain, Ins)):
-            out.append(label.symbol)
-        elif isinstance(label, Sub):
-            out.append(label.observed)
-        elif not isinstance(label, Del):
-            raise ValidationError(f"not an attack label: {label!r}")
-    return tuple(out)
-
-
-def enumerate_tampered(observation: Sequence[str], model: AttackModel, budget: int) -> list:
-    """All corruptions of `observation` with total attack cost <= `budget`.
-
-    Returns ``(sequence, cost)`` pairs where `cost` is the cheapest way the
-    attacker can produce that exact sequence.  Ordered by (cost, length,
-    sequence) for reproducible output.
-    """
-    check_budget(budget)
-    observation = tuple(observation)
-    best: dict = {}
-
-    def visit(index: int, out: tuple, spent: int):
-        if index == len(observation):
-            if spent < best.get(out, budget + 1):
-                best[out] = spent
-        else:
-            symbol = observation[index]
-            visit(index + 1, out + (symbol,), spent)
-            cost = model.deletions.get(symbol)
-            if cost is not None and spent + cost <= budget:
-                visit(index + 1, out, spent + cost)
-            for (original, observed), cost in model.substitutions.items():
-                if original == symbol and spent + cost <= budget:
-                    visit(index + 1, out + (observed,), spent + cost)
-        for symbol, cost in model.insertions.items():
-            if spent + cost <= budget:
-                visit(index, out + (symbol,), spent + cost)
-
-    visit(0, (), 0)
-    return sorted(best.items(), key=lambda item: (item[1], len(item[0]), item[0]))
-
-
-def enumerate_matching(
-    received: Sequence[str], model: AttackModel, budget: int
-) -> list:
-    """All relabelled explanations of `received` with recovery cost <= `budget`.
-
-    Returns :class:`CostedSequence` objects; distinct label sequences are
-    all kept, even when they explain the same original observation.
-    """
-    check_budget(budget)
-    received = tuple(received)
-    results = []
-
-    def visit(index: int, labels: tuple, spent: int):
-        if index == len(received):
-            results.append(CostedSequence(labels, spent))
-        else:
-            symbol = received[index]
-            visit(index + 1, labels + (Plain(symbol),), spent)
-            cost = model.insertions.get(symbol)
-            if cost is not None and spent + cost <= budget:
-                visit(index + 1, labels + (Ins(symbol),), spent + cost)
-            for (original, observed), cost in model.substitutions.items():
-                if observed == symbol and spent + cost <= budget:
-                    visit(index + 1, labels + (Sub(original, observed),), spent + cost)
-        for symbol, cost in model.deletions.items():
-            if spent + cost <= budget:
-                visit(index, labels + (Del(symbol),), spent + cost)
-
-    visit(0, (), 0)
-    results.sort(
-        key=lambda cs: (cs.cost, len(cs.labels), [label_sort_key(l) for l in cs.labels])
-    )
-    return results
 
 
 # -- JSON interchange (cost table) -------------------------------------------

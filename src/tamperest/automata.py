@@ -370,12 +370,17 @@ def plant_to_dict(plant: PlantNfa) -> dict:
 def read_json(path):
     """The JSON document in the file at `path`.
 
-    Text that is not UTF-8, or nests too deeply to parse, is a
+    Text that is not UTF-8, nests too deeply to parse, or holds ``NaN``,
+    ``Infinity`` or ``-Infinity`` (which `json` reads but JSON lacks) is a
     `ValidationError`; malformed JSON raises `json.JSONDecodeError`.
     """
+
+    def refuse(constant):
+        raise ValidationError(f"not a JSON value: {constant} in {path}")
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            return json.load(handle, parse_constant=refuse)
         except UnicodeDecodeError:
             raise ValidationError(f"not UTF-8 text: {path}") from None
         except RecursionError:

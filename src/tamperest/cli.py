@@ -152,9 +152,10 @@ def _cmd_observer(args) -> int:
 def _cmd_estimate(args) -> int:
     plant, model, _faults = _load_inputs(args)
     observation = _parse_observation(args.obs)
-    estimate = estimate_least_cost(
-        plant, model, observation, args.budget, witness=args.witness
-    )
+    if args.dot:
+        estimate, states, transitions = estimation_graph(plant, model, observation, args.budget)
+    else:
+        estimate = estimate_least_cost(plant, model, observation, args.budget, witness=args.witness)
     entries = []
     # id(label) -> its dict and its rendering, one of each per distinct label
     dicts: dict = {}
@@ -180,7 +181,6 @@ def _cmd_estimate(args) -> int:
         "over_budget": [{"state": s} for s in sorted(estimate.over_budget, key=sort_key)],
     }
     if args.dot:
-        states, transitions = estimation_graph(plant, model, observation, args.budget)
         _write_dot(args.dot, dot.product_to_dot(states, transitions))
     _emit(payload)
     return EXIT_OK

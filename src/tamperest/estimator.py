@@ -8,9 +8,9 @@ such cost.
 The paper reads it off the plant's product with a costed matching DFA,
 which only :mod:`tamperest.reference` builds.  Here one sweep,
 `_stage_costs`, keeps a saturating cost per (plant state, stage) along the
-stage machine of `build_matching_automaton`: advancing labels move to the
-next stage, loop (deletion) labels are relaxed within a stage.
-`estimate_least_cost` keeps its last table; `estimation_graph` keeps every
+DFA's stages, with the moves of `_moves`: deletions loop within a stage,
+and the moves that explain a received symbol advance a stage.
+`estimate_least_cost` keeps the last table; `estimation_graph` keeps every
 table and reads the reduced product off them for ``estimate --dot``.
 
 The sweep works on the plant's canonical state numbering: states are the
@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .attacks import AttackModel, check_budget, label_cost, project_original
+from .attacks import AttackModel, Del, Ins, Plain, Sub, check_budget
 from .automata import PlantNfa, sort_key
-from .matching import MatchingAutomaton, build_matching_automaton
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -62,19 +62,46 @@ class Estimate:
         return sorted(self.pairs.items(), key=lambda item: (item[1], sort_key(item[0])))
 
 
+def _moves(plant: PlantNfa, model: AttackModel, received: tuple, budget: int) -> tuple:
+    """The checked moves of one sweep: ``(loop, advance)``, each move ``(label, cost, post)``.
+
+    `loop` holds the deletions, by symbol; ``advance[stage]`` the moves that
+    explain ``received[stage]`` in `label_sort_key` order (untouched,
+    inserted, substituted by original symbol), which witness ties follow.
+    `post` is the label's row of `PlantNfa.posts`.  Each distinct received
+    symbol is checked, and its moves built, once.
+    """
+    check_budget(budget)
+    model.validate_against(plant)
+    posts = plant.posts
+    loop = tuple((Del(s), cost, posts[(s,)]) for s, cost in sorted(model.deletions.items()))
+    by_symbol: dict = {}
+    for symbol in dict.fromkeys(received):
+        if symbol not in plant.observable:
+            raise ValidationError(f"received symbol {symbol!r} is not observable")
+        moves = [(Plain(symbol), 0, posts[(symbol,)])]
+        if symbol in model.insertions:
+            moves.append((Ins(symbol), model.insertions[symbol], posts[()]))
+        moves += [
+            (Sub(original, symbol), cost, posts[(original,)])
+            for (original, observed), cost in sorted(model.substitutions.items())
+            if observed == symbol
+        ]
+        by_symbol[symbol] = tuple(moves)
+    return loop, [by_symbol[symbol] for symbol in received]
+
+
 def _stage_costs(
-    plant: PlantNfa, model: AttackModel, matching: MatchingAutomaton, bound: int, parents=None
+    plant: PlantNfa, loop: tuple, advance: list, bound: int, parents=None
 ) -> Iterator[dict]:
     """Each stage's table ``{state index: cost saturated at bound}``, in stage order.
 
-    Advancing labels move to the next stage, deletion labels are relaxed to
-    a fixed point within a stage (each deletion costs at least one unit, so
-    the relaxation terminates), and then the table is yielded.  With
-    `parents`, each improvement records ``parents[stage][x] = (label,
-    prev_x, prev_stage)``.
+    The `advance` moves lead to the next stage, the `loop` (deletion) moves
+    are relaxed to a fixed point within a stage (each deletion costs at
+    least one unit, so the relaxation terminates), and then the table is
+    yielded.  With `parents`, each improvement records ``parents[stage][x]
+    = (label, prev_x, prev_stage)``.
     """
-    posts = plant.posts
-    loop = [(d, label_cost(d, model), posts[(d.symbol,)]) for d in matching.loop_labels()]
     record = parents is not None
 
     def relax_deletions(dist: dict, stage: int) -> dict:
@@ -100,13 +127,11 @@ def _stage_costs(
     dist = {plant.index[state]: 0 for state in plant.unobservable_closure(plant.initial)}
     dist = relax_deletions(dist, 0)
     yield dist
-    for stage in range(matching.final_stage):
+    for stage, moves in enumerate(advance):
         ranked = sorted((cost, x) for x, cost in dist.items())
         back = parents[stage + 1] if record else None
         nxt: dict = {}
-        for label in matching.advancing_labels(stage):
-            delta = label_cost(label, model)
-            post = posts[project_original((label,))]
+        for label, delta, post in moves:
             for cost, x in ranked:
                 new_cost = min(cost + delta, bound)
                 for target in post[x]:
@@ -116,6 +141,19 @@ def _stage_costs(
                             back[target] = (label, x, stage)
         dist = relax_deletions(nxt, stage + 1)
         yield dist
+
+
+def _estimate(plant: PlantNfa, received: tuple, budget: int, dist: dict, parents) -> Estimate:
+    """The estimate a last stage table gives; with `parents`, one witness per state."""
+    pairs = {plant.order[x]: cost for x, cost in dist.items() if cost <= budget}
+    over = frozenset(plant.order[x] for x, cost in dist.items() if cost > budget)
+    witnesses = None
+    if parents is not None:
+        final = [plant.index[state] for state in pairs]
+        witnesses = dict(zip(pairs, _reconstruct(parents, final, len(received))))
+    return Estimate(
+        received=received, budget=budget, pairs=pairs, over_budget=over, witnesses=witnesses
+    )
 
 
 def estimate_least_cost(
@@ -131,51 +169,37 @@ def estimate_least_cost(
     `_reconstruct` reads one cheapest label sequence per estimated state off
     them; without it, no parent is recorded.
     """
-    check_budget(budget)
-    model.validate_against(plant)
-    matching = build_matching_automaton(received, model, alphabet=plant.observable)
+    received = tuple(received)
+    loop, advance = _moves(plant, model, received, budget)
     # witness mode only: parents[stage][x] = (label, prev_x, prev_stage), over state indices
-    parents = [{} for _ in range(matching.final_stage + 1)] if witness else None
-    for dist in _stage_costs(plant, model, matching, budget + 1, parents):
+    parents = [{} for _ in range(len(received) + 1)] if witness else None
+    for dist in _stage_costs(plant, loop, advance, budget + 1, parents):
         pass
-
-    pairs = {plant.order[x]: cost for x, cost in dist.items() if cost <= budget}
-    over = frozenset(plant.order[x] for x, cost in dist.items() if cost > budget)
-    witnesses = None
-    if witness:
-        final = [plant.index[state] for state in pairs]
-        witnesses = dict(zip(pairs, _reconstruct(parents, final, matching.final_stage)))
-    return Estimate(
-        received=matching.received,
-        budget=budget,
-        pairs=pairs,
-        over_budget=over,
-        witnesses=witnesses,
-    )
+    return _estimate(plant, received, budget, dist, parents)
 
 
 def estimation_graph(
     plant: PlantNfa, model: AttackModel, received: Sequence[str], budget: int
 ) -> tuple:
-    """``(states, transitions)`` of the plant x costed matching DFA product, reduced.
+    """``(estimate, states, transitions)`` from one sweep, with parents recorded.
 
-    Read off every table of the sweep: a state ``(plant state, stage,
-    cost)`` per entry, and a transition ``(src, label, dst)`` per label move
-    that lands on its target's entry, which are the cheapest copies and the
-    moves between them that the reference `reduce_product` keeps.
+    The estimate is `estimate_least_cost` with witnesses.  The reduced
+    plant x costed matching DFA product is read off every table: a state
+    ``(plant state, stage, cost)`` per entry, and a transition ``(src,
+    label, dst)`` per move that lands on its target's entry, which are the
+    cheapest copies and the moves between them that the reference
+    `reduce_product` keeps.
     """
-    check_budget(budget)
-    model.validate_against(plant)
-    matching = build_matching_automaton(received, model, alphabet=plant.observable)
-    bound, order, posts = budget + 1, plant.order, plant.posts
-    tables = list(_stage_costs(plant, model, matching, bound))
+    received = tuple(received)
+    loop, advance = _moves(plant, model, received, budget)
+    bound, order = budget + 1, plant.order
+    parents = [{} for _ in range(len(received) + 1)]
+    tables = list(_stage_costs(plant, loop, advance, bound, parents))
     states, transitions = set(), set()
-    for stage, table in enumerate(tables):
+    for stage, (table, ahead) in enumerate(zip(tables, advance + [()])):
         states.update((order[x], stage, cost) for x, cost in table.items())
-        moves = [(label, stage) for label in matching.loop_labels()]
-        moves += [(label, stage + 1) for label in matching.advancing_labels(stage)]
-        for label, to in moves:
-            delta, post = label_cost(label, model), posts[project_original((label,))]
+        moves = [(move, stage) for move in loop] + [(move, stage + 1) for move in ahead]
+        for (label, delta, post), to in moves:
             for x, cost in table.items():
                 new_cost = min(cost + delta, bound)
                 transitions.update(
@@ -183,7 +207,8 @@ def estimation_graph(
                     for y in post[x]
                     if tables[to][y] == new_cost
                 )
-    return frozenset(states), frozenset(transitions)
+    estimate = _estimate(plant, received, budget, tables[-1], parents)
+    return estimate, frozenset(states), frozenset(transitions)
 
 
 def _reconstruct(parents: list, targets: list, stage: int) -> list:

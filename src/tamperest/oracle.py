@@ -5,12 +5,14 @@ exhaustive enumeration of matching sequences, diagnosability by a
 freshly-built twin search over pair states with plain DFS cycle detection,
 and the minimum budget by per-state DFS for cost-free cycles and a scan of
 plain BFS over budgets.  No construction code is shared with the production
-modules (imports are limited to the core automaton type and the
-attack-model enumerators), so agreement between the two routes is
-meaningful evidence.
+modules (imports are limited to the plant type, the attack model and its
+labels), so agreement between the two routes is meaningful evidence.  The
+matching sequences come from `enumerate_matching`, an exhaustive search
+over the attack rules that lives here for that reason.
 
-All functions refuse inputs larger than their :class:`OracleBudget`; they
-are meant for desk-scale instances only.
+The ``brute_force_*`` functions refuse inputs larger than their
+:class:`OracleBudget`; they, and `enumerate_matching`, are meant for
+desk-scale instances only.
 """
 
 from __future__ import annotations
@@ -18,7 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .attacks import AttackModel, enumerate_matching, project_original
+from .attacks import (
+    AttackModel,
+    Del,
+    Ins,
+    Plain,
+    Sub,
+    check_budget,
+    label_sort_key,
+    project_original,
+)
 from .automata import PlantNfa, sort_key
 from .errors import OracleBudgetError
 
@@ -39,6 +50,49 @@ DEFAULT_BUDGET = OracleBudget()
 def _guard(condition: bool, message: str):
     if not condition:
         raise OracleBudgetError(message)
+
+
+@dataclass(frozen=True)
+class CostedSequence:
+    """A matching label sequence together with its recovery cost."""
+
+    labels: tuple
+    cost: int
+
+
+def enumerate_matching(
+    received: Sequence[str], model: AttackModel, budget: int
+) -> list:
+    """All relabelled explanations of `received` with recovery cost <= `budget`.
+
+    Returns :class:`CostedSequence` objects; distinct label sequences are
+    all kept, even when they explain the same original observation.
+    """
+    check_budget(budget)
+    received = tuple(received)
+    results = []
+
+    def visit(index: int, labels: tuple, spent: int):
+        if index == len(received):
+            results.append(CostedSequence(labels, spent))
+        else:
+            symbol = received[index]
+            visit(index + 1, labels + (Plain(symbol),), spent)
+            cost = model.insertions.get(symbol)
+            if cost is not None and spent + cost <= budget:
+                visit(index + 1, labels + (Ins(symbol),), spent + cost)
+            for (original, observed), cost in model.substitutions.items():
+                if observed == symbol and spent + cost <= budget:
+                    visit(index + 1, labels + (Sub(original, observed),), spent + cost)
+        for symbol, cost in model.deletions.items():
+            if spent + cost <= budget:
+                visit(index, labels + (Del(symbol),), spent + cost)
+
+    visit(0, (), 0)
+    results.sort(
+        key=lambda cs: (cs.cost, len(cs.labels), [label_sort_key(l) for l in cs.labels])
+    )
+    return results
 
 
 def brute_force_estimate(

@@ -1,15 +1,25 @@
 """Reference code only, for the tests: the paper's explicit estimation construction.
 
-No production module imports it.  `build_costed_matching_dfa` pairs the
-stage machine of `build_matching_automaton` with a cost counter saturated
-at a bound ``B`` (cost ``B`` means "at least B"; an attacker budget ``C``
-uses ``B = C + 1``), `build_product` synchronises it with the plant,
+No production module imports it.  `build_matching_automaton` is the
+paper's matching automaton as a stage machine: stage ``i`` means the first
+``i`` received symbols have been explained, deletion labels self-loop at
+every stage, and each other label advances one stage by explaining the
+next received symbol, untouched, inserted or substituted.
+`build_costed_matching_dfa` pairs it with a cost counter saturated at a
+bound ``B`` (cost ``B`` means "at least B"; an attacker budget ``C`` uses
+``B = C + 1``), `build_product` synchronises that with the plant,
 `reduce_product` keeps the cheapest copy of each (plant state, stage), and
 `ending_estimates` reads the final stage.  The tests check the production
 sweep, `estimate_least_cost` and `estimation_graph`, against these; the
-product calls ``PlantNfa.reach`` itself, so it shares no table with them.
+sweep builds its own move table from the attack model, and the product
+calls ``PlantNfa.reach`` itself, so the two routes share no table.
 `matching_language` lists the stage machine's label sequences up to a
-cost, which the tests compare with `enumerate_matching`.
+cost, which the tests compare with the oracle's `enumerate_matching`.
+
+`enumerate_tampered` lists the words an attacker can make of an
+observation within a budget, by exhaustive search; `label_cost`,
+`total_cost` and `project_received` read a label's or a label sequence's
+cost and a label sequence's received word.
 """
 
 from __future__ import annotations
@@ -21,9 +31,12 @@ from typing import Mapping, Optional, Sequence
 
 from .attacks import (
     AttackModel,
+    Del,
+    Ins,
     Label,
+    Plain,
+    Sub,
     check_budget,
-    label_cost,
     label_sort_key,
     project_original,
     render_label,
@@ -32,7 +45,129 @@ from .automata import PlantNfa, sort_key
 from .dot import _q
 from .errors import ConfigurationError, ValidationError
 from .estimator import Estimate
-from .matching import MatchingAutomaton, build_matching_automaton
+
+
+def label_cost(label: Label, model: AttackModel) -> int:
+    """Cost of recovering one label: 0 for untouched symbols."""
+    if isinstance(label, Plain):
+        return 0
+    if isinstance(label, Del):
+        try:
+            return model.deletions[label.symbol]
+        except KeyError:
+            raise ValidationError(f"{label.symbol!r} is not deletable under this model") from None
+    if isinstance(label, Ins):
+        try:
+            return model.insertions[label.symbol]
+        except KeyError:
+            raise ValidationError(f"{label.symbol!r} is not insertable under this model") from None
+    if isinstance(label, Sub):
+        try:
+            return model.substitutions[(label.original, label.observed)]
+        except KeyError:
+            raise ValidationError(
+                f"substitution {label.original!r} -> {label.observed!r} "
+                "is not allowed under this model"
+            ) from None
+    raise ValidationError(f"not an attack label: {label!r}")
+
+
+def total_cost(labels: Sequence[Label], model: AttackModel) -> int:
+    return sum(label_cost(label, model) for label in labels)
+
+
+def project_received(labels: Sequence[Label]) -> tuple:
+    """The observation the estimation unit received, reassembled from labels."""
+    out = []
+    for label in labels:
+        if isinstance(label, (Plain, Ins)):
+            out.append(label.symbol)
+        elif isinstance(label, Sub):
+            out.append(label.observed)
+        elif not isinstance(label, Del):
+            raise ValidationError(f"not an attack label: {label!r}")
+    return tuple(out)
+
+
+def enumerate_tampered(observation: Sequence[str], model: AttackModel, budget: int) -> list:
+    """All corruptions of `observation` with total attack cost <= `budget`.
+
+    Returns ``(sequence, cost)`` pairs where `cost` is the cheapest way the
+    attacker can produce that exact sequence.  Ordered by (cost, length,
+    sequence) for reproducible output.
+    """
+    check_budget(budget)
+    observation = tuple(observation)
+    best: dict = {}
+
+    def visit(index: int, out: tuple, spent: int):
+        if index == len(observation):
+            if spent < best.get(out, budget + 1):
+                best[out] = spent
+        else:
+            symbol = observation[index]
+            visit(index + 1, out + (symbol,), spent)
+            cost = model.deletions.get(symbol)
+            if cost is not None and spent + cost <= budget:
+                visit(index + 1, out, spent + cost)
+            for (original, observed), cost in model.substitutions.items():
+                if original == symbol and spent + cost <= budget:
+                    visit(index + 1, out + (observed,), spent + cost)
+        for symbol, cost in model.insertions.items():
+            if spent + cost <= budget:
+                visit(index, out + (symbol,), spent + cost)
+
+    visit(0, (), 0)
+    return sorted(best.items(), key=lambda item: (item[1], len(item[0]), item[0]))
+
+
+@dataclass(frozen=True, eq=False)
+class MatchingAutomaton:
+    """Stage machine over plain symbols and attack labels.
+
+    States are the integers ``0 .. len(received)``.  Every stage loops on
+    `loop_labels` and moves on `advancing_labels(stage)` to the next one;
+    no other move exists.
+    """
+
+    received: tuple
+    model: AttackModel
+
+    @property
+    def final_stage(self) -> int:
+        return len(self.received)
+
+    def loop_labels(self) -> tuple:
+        """Deletion labels; they self-loop at every stage."""
+        return tuple(Del(s) for s in sorted(self.model.deletions))
+
+    def advancing_labels(self, stage: int) -> tuple:
+        """Labels that explain received symbol `stage` and move to `stage`+1."""
+        if stage >= self.final_stage:
+            return ()
+        symbol = self.received[stage]
+        labels = [Plain(symbol)]
+        if symbol in self.model.insertions:
+            labels.append(Ins(symbol))
+        for (original, observed) in self.model.substitutions:
+            if observed == symbol:
+                labels.append(Sub(original, observed))
+        return tuple(sorted(labels, key=label_sort_key))
+
+
+def build_matching_automaton(
+    received: Sequence[str], model: AttackModel, alphabet: Optional[frozenset] = None
+) -> MatchingAutomaton:
+    """Stage machine for the given received observation.
+
+    When `alphabet` is provided, every received symbol must belong to it.
+    """
+    received = tuple(received)
+    if alphabet is not None:
+        for symbol in received:
+            if symbol not in alphabet:
+                raise ValidationError(f"received symbol {symbol!r} is not observable")
+    return MatchingAutomaton(received=received, model=model)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,8 +12,6 @@ from tamperest.attacks import (
     Ins,
     Plain,
     Sub,
-    enumerate_matching,
-    enumerate_tampered,
     project_original,
 )
 from tamperest.automata import build_observer
@@ -37,11 +35,13 @@ from tamperest.oracle import (
     brute_force_diagnosable,
     brute_force_estimate,
     brute_force_minimum_budget,
+    enumerate_matching,
 )
 from tamperest.reference import (
     build_costed_matching_dfa,
     build_product,
     ending_estimates,
+    enumerate_tampered,
     reduce_product,
 )
 

@@ -11,16 +11,13 @@ from tamperest.attacks import (
     Ins,
     Plain,
     Sub,
-    enumerate_matching,
-    enumerate_tampered,
-    label_cost,
     model_from_dict,
     model_to_dict,
     project_original,
-    project_received,
-    total_cost,
 )
 from tamperest.errors import ValidationError
+from tamperest.oracle import enumerate_matching
+from tamperest.reference import enumerate_tampered, label_cost, project_received, total_cost
 
 from instances import random_attack_model, random_observation
 

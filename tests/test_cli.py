@@ -321,6 +321,32 @@ def test_too_deeply_nested_plant_exits_2(capsys, tmp_path):
     assert _one_json_error(err) == f"JSON nested too deeply: {path}"
 
 
+def test_non_standard_json_constants_exit_2(capsys, tmp_path):
+    plant = tmp_path / "plant.json"
+    plant.write_text(
+        '{"states": [0, Infinity], "initial": [0], "observable": ["a"], "unobservable": [],'
+        ' "faults": [], "transitions": [{"from": 0, "event": "a", "to": Infinity}]}'
+    )
+    costs = tmp_path / "costs.json"
+    costs.write_text('{"deletions": {"α": NaN}}')
+    cases = [
+        (("observer", "--plant", str(plant)), f"not a JSON value: Infinity in {plant}"),
+        (
+            ("estimate", "--plant", str(plant), "--obs", "a", "--budget", "0"),
+            f"not a JSON value: Infinity in {plant}",
+        ),
+        (
+            ("estimate", "--plant", EST_PLANT, "--attacks", str(costs), "--obs", "α",
+             "--budget", "0"),
+            f"not a JSON value: NaN in {costs}",
+        ),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert _one_json_error(err) == message
+
+
 def test_mismatched_attack_table_exits_2(capsys, tmp_path):
     costs = tmp_path / "costs.json"
     costs.write_text(json.dumps({"deletions": {"zzz": 1}}))

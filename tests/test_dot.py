@@ -43,8 +43,10 @@ def test_product_dot_runs(estimation_plant, estimation_costs):
     dfa = build_costed_matching_dfa(("β", "α"), estimation_costs, 3)
     product = reduce_product(build_product(estimation_plant, dfa))
     text = dot.product_to_dot(product.states, product.transitions)
-    graph = estimation_graph(estimation_plant, estimation_costs, ("β", "α"), 2)
-    assert text == dot.product_to_dot(*graph)
+    _estimate, states, transitions = estimation_graph(
+        estimation_plant, estimation_costs, ("β", "α"), 2
+    )
+    assert text == dot.product_to_dot(states, transitions)
     assert "rank=same" in text
 
 

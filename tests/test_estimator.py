@@ -8,20 +8,22 @@ from tamperest.attacks import (
     Plain,
     Sub,
     project_original,
-    project_received,
-    total_cost,
 )
 from tamperest import dot
 from tamperest.automata import build_observer
 from tamperest.errors import ConfigurationError, ValidationError
-from tamperest.estimator import estimate_least_cost, estimation_graph
+from tamperest.estimator import _moves, estimate_least_cost, estimation_graph
 from tamperest.oracle import brute_force_estimate
 from tamperest.reference import (
     build_costed_matching_dfa,
+    build_matching_automaton,
     build_product,
     ending_estimates,
     estimate_via_product,
+    label_cost,
+    project_received,
     reduce_product,
+    total_cost,
 )
 
 from instances import random_attack_model, random_observation, random_plant
@@ -287,6 +289,28 @@ def test_over_budget_states_carry_costs_just_beyond_the_budget():
                 assert budget < richer[state] <= budget + 2
 
 
+def test_move_table_is_the_matching_automaton():
+    """The sweep moves by the stage machine's labels, in order, at their costs and plant moves."""
+    rng = random.Random(83)
+    orders = 0
+    for _ in range(200):
+        plant = random_plant(rng, max_states=5)
+        model = random_attack_model(rng, p_sub=0.6)
+        word = random_observation(rng, max_len=6)
+        machine = build_matching_automaton(word, model)
+        loop, advance = _moves(plant, model, word, 0)
+        assert len(advance) == machine.final_stage
+        stages = [(loop, machine.loop_labels())]
+        stages += [(moves, machine.advancing_labels(stage)) for stage, moves in enumerate(advance)]
+        for moves, labels in stages:
+            assert tuple(label for label, _cost, _post in moves) == labels
+            for label, cost, post in moves:
+                assert cost == label_cost(label, model)
+                assert post == plant.posts[project_original((label,))]
+            orders += sum(isinstance(label, Sub) for label in labels) > 1
+    assert orders > 0
+
+
 def test_budget_must_be_non_negative(estimation_plant, estimation_costs):
     with pytest.raises(ValidationError):
         estimate_least_cost(estimation_plant, estimation_costs, (A,), -1)
@@ -301,6 +325,7 @@ def test_observation_symbols_must_be_observable(estimation_plant, estimation_cos
 
 
 def test_estimation_graph_is_the_reduced_product():
+    """One sweep gives the reduced product and the witnessed estimate."""
     rng = random.Random(97)
     deletion_edges = 0
     for i in range(1500):
@@ -308,7 +333,9 @@ def test_estimation_graph_is_the_reduced_product():
         model = random_attack_model(rng, p_del=(0.0, 0.3, 1.0)[i % 3])
         word = random_observation(rng, max_len=8)
         budget = rng.randint(0, 5)
-        states, transitions = estimation_graph(plant, model, word, budget)
+        estimate, states, transitions = estimation_graph(plant, model, word, budget)
+        expected = estimate_least_cost(plant, model, word, budget, witness=True)
+        assert estimate == expected and estimate.witnesses == expected.witnesses
         dfa = build_costed_matching_dfa(word, model, budget + 1, alphabet=plant.observable)
         reduced = reduce_product(build_product(plant, dfa))
         assert states == reduced.states

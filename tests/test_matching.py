@@ -7,12 +7,15 @@ from tamperest.attacks import (
     Ins,
     Plain,
     Sub,
-    enumerate_matching,
-    total_cost,
 )
 from tamperest.errors import ValidationError
-from tamperest.matching import build_matching_automaton
-from tamperest.reference import build_costed_matching_dfa, matching_language
+from tamperest.oracle import enumerate_matching
+from tamperest.reference import (
+    build_costed_matching_dfa,
+    build_matching_automaton,
+    matching_language,
+    total_cost,
+)
 
 from instances import random_attack_model, random_observation
 

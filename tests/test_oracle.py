@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import tamperest
+import tamperest.attacks
 import tamperest.dot
 import tamperest.oracle
 import tamperest.reference
@@ -51,18 +52,24 @@ def test_oracle_imports_no_engine_module():
     assert not package & {"cmin", "diagnoser", "estimator", "matching", "reference", "scc"}
 
 
-#: What `tamperest.reference` holds: the paper's explicit estimation construction
-#: and the stage machine's language.
+#: What `tamperest.reference` holds: the paper's explicit estimation construction,
+#: the stage machine and its language, and the tampered-word enumerator.
 REFERENCE_NAMES = (
     "CostedMatchingDfa",
     "ProductAutomaton",
     "build_costed_matching_dfa",
     "build_product",
+    "MatchingAutomaton",
+    "build_matching_automaton",
     "ending_estimates",
+    "enumerate_tampered",
     "estimate_via_product",
+    "label_cost",
     "matching_dfa_to_dot",
     "matching_language",
+    "project_received",
     "reduce_product",
+    "total_cost",
 )
 
 
@@ -77,7 +84,7 @@ def test_only_the_tests_import_the_reference_module():
     for name in REFERENCE_NAMES:
         assert hasattr(tamperest.reference, name)
         assert name not in tamperest.__all__ and not hasattr(tamperest, name)
-    for module in (tamperest.estimator, tamperest.matching, tamperest.dot):
+    for module in (tamperest.estimator, tamperest.attacks, tamperest.dot):
         assert not any(hasattr(module, name) for name in REFERENCE_NAMES)
     assert "reference code" in tamperest.reference.__doc__.lower()
 
