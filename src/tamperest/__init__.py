@@ -21,7 +21,6 @@ from .attacks import (
     load_model,
     model_from_dict,
     model_to_dict,
-    project_original,
 )
 from .automata import (
     ObserverDfa,
@@ -35,22 +34,11 @@ from .automata import (
 )
 from .cmin import (
     CminResult,
-    CostPair,
+    DiagnosisResult,
     analyze_minimum_budget,
     build_corrupted_automaton,
     build_costed_twin_verifier,
-    find_free_confusion_states,
     minimum_defeating_budget,
-    pareto_update,
-)
-from .diagnoser import (
-    CostedPlant,
-    DeletionMarker,
-    DiagnosisResult,
-    TwinVerifier,
-    build_costed_plant,
-    build_twin_verifier,
-    find_confused_cycle,
     verify_diagnosability,
 )
 from .errors import (

@@ -9,13 +9,15 @@ marks an untouched symbol.
 The exact but exponential enumerators of tampered words and of matching
 sequences are test code: `enumerate_matching` lives in
 :mod:`tamperest.oracle`, `enumerate_tampered` in :mod:`tamperest.reference`.
+`project_original`, the pre-attack word a label sequence explains, is test
+code too and lives in :mod:`tamperest.oracle`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 from .automata import PlantNfa, check_symbol_name, read_json
 from .errors import ValidationError
@@ -131,23 +133,6 @@ def check_budget(value, what: str = "budget", minimum: int = 0) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ValidationError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return value
-
-
-def project_original(labels: Sequence[Label]) -> tuple:
-    """The pre-attack observation a label sequence explains.
-
-    Untouched and deleted symbols map to themselves, substitutions map to
-    their original symbol, insertions vanish.
-    """
-    out = []
-    for label in labels:
-        if isinstance(label, (Plain, Del)):
-            out.append(label.symbol)
-        elif isinstance(label, Sub):
-            out.append(label.original)
-        elif not isinstance(label, Ins):
-            raise ValidationError(f"not an attack label: {label!r}")
-    return tuple(out)
 
 
 # -- JSON interchange (cost table) -------------------------------------------

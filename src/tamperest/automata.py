@@ -128,6 +128,11 @@ class PlantNfa:
         })
 
     def events_at(self, state) -> frozenset:
+        """Events leaving `state`, by a scan of every transition.
+
+        Only reference code calls it: the cost-layered verifier in
+        :mod:`tamperest.diagnoser` and the oracle.
+        """
         return frozenset(e for (s, e) in self._succ if s == state)
 
     def _check_states(self, states: Iterable) -> frozenset:

@@ -28,8 +28,12 @@ from json.encoder import encode_basestring
 from . import dot
 from .attacks import AttackModel, label_to_dict, load_model, render_label
 from .automata import build_observer, load_plant, sort_key
-from .cmin import analyze_minimum_budget, build_costed_twin_verifier, side_run
-from .diagnoser import verify_diagnosability
+from .cmin import (
+    analyze_minimum_budget,
+    build_costed_twin_verifier,
+    side_run,
+    verify_diagnosability,
+)
 from .errors import ConfigurationError, PreconditionError, ValidationError
 from .estimator import estimate_least_cost, estimation_graph
 

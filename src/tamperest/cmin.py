@@ -39,7 +39,10 @@ then the standing assumptions of Sampath et al. (IEEE TAC 1995): every
 reachable plant state is live and on no cycle of unobservable events.
 Attack edges only follow plant transitions and deletions always cost, so
 checking the plant suffices.  A witness is checked to observe the same
-symbols on both sides.
+symbols on both sides.  `verify_diagnosability` reshapes that cut-off
+search's result into a `DiagnosisResult`; the paper's cost-layered
+verifier, which decides the same question on a plant augmented with cost
+layers, is reference code in :mod:`tamperest.diagnoser`.
 
 Below the engine, `build_costed_twin_verifier` is the engine's own verifier
 made explicit, for ``--dot`` and the tests: it exhausts `_LazyTwin.steps`
@@ -47,7 +50,10 @@ over the same table and states no move rule of its own.
 `find_free_confusion_states` (one whole-graph SCC pass) and
 `propagate_cost_labels` (FIFO label correcting) are independent reference
 searches over it; the tests check the engine's ending test and
-label-setting search against them.
+label-setting search against them.  They, `pareto_update` and `CostPair`
+are reference code that no production path calls and `tamperest` does not
+export; they stay in this module because the benchmark's traced run
+(``perfbench/tracing.py``) wraps them here.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .attacks import AttackModel
+from .attacks import AttackModel, check_budget
 from .automata import EPSILON_DISPLAY, PlantNfa, dead_reachable_state, sort_key, unobservable_cycle
 from .errors import PreconditionError, ValidationError
 from .scc import cycle_within, strongly_connected_components
@@ -211,6 +217,8 @@ def analyze_minimum_budget(
     Inputs, preconditions and witnesses are checked as the module docstring
     says; a plant outside the class raises :class:`PreconditionError`.
     """
+    if budget is not None:
+        check_budget(budget)
     corrupted = build_corrupted_automaton(plant, model)
     faults = check_faults(plant, faults)
     dead = dead_reachable_state(plant)
@@ -443,6 +451,69 @@ def minimum_defeating_budget(
 ) -> Optional[int]:
     """Smallest total attack cost that keeps diagnosis confused forever; None if impossible."""
     return analyze_minimum_budget(plant, model, faults).value
+
+
+# -- diagnosability at a budget: the same search, cut off -------------------
+
+
+@dataclass(frozen=True)
+class DiagnosisWitness:
+    """Counterexample: two equal-projection runs, one faulty, one normal.
+
+    `access` (the cheapest attack into a confused state) and `cycle` (cost
+    free, back to that state) are costed twin-verifier steps.
+    """
+
+    access: tuple
+    cycle: tuple
+    left_run: tuple
+    right_run: tuple
+
+
+@dataclass(frozen=True)
+class DiagnosisResult:
+    """Verdict at `budget`; `corrupted` is the automaton the search ran on, for ``--dot``."""
+
+    diagnosable: bool
+    budget: int
+    witness: Optional[DiagnosisWitness] = None
+    corrupted: Optional[CorruptedAutomaton] = field(default=None, compare=False, repr=False)
+
+
+def verify_diagnosability(
+    plant: PlantNfa,
+    model: AttackModel,
+    faults: Optional[frozenset] = None,
+    budget: int = 0,
+    want_witness: bool = False,
+) -> DiagnosisResult:
+    """Decide whether every fault is eventually detected at this attack budget.
+
+    The attacker may spend up to `budget` on each of the two runs, so the
+    verdict is False exactly when the minimum defeating budget is at most
+    `budget`; it then comes with a faulty and a fault-free run that stay
+    observation-equivalent forever.  The budget, the model, the fault set
+    and the plant preconditions are checked by `analyze_minimum_budget`,
+    which raises :class:`PreconditionError` on a reachable dead plant state
+    or cycle of unobservable events.
+    """
+    found = analyze_minimum_budget(
+        plant, model, faults, want_witness=want_witness, budget=budget
+    )
+    if not found.defeatable:
+        return DiagnosisResult(diagnosable=True, budget=budget, corrupted=found.corrupted)
+    witness = None
+    if want_witness:
+        steps = found.witness + found.cycle
+        witness = DiagnosisWitness(
+            access=found.witness,
+            cycle=found.cycle,
+            left_run=side_run(steps, "L"),
+            right_run=side_run(steps, "R"),
+        )
+    return DiagnosisResult(
+        diagnosable=False, budget=budget, witness=witness, corrupted=found.corrupted
+    )
 
 
 # -- reference and DOT export: the explicit costed twin verifier --------------

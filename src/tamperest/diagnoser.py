@@ -1,20 +1,20 @@
-"""Tamper-tolerant diagnosability under a cost-bounded attacker.
+"""Reference code only, for the tests: the paper's cost-layered verifier.
 
-The system is non-diagnosable at budget C exactly when its minimum defeating
-budget is at most C, so `verify_diagnosability` checks the budget and runs
-the costed twin-verifier search of :mod:`tamperest.cmin` cut off at C.  That
-search owns every other check (attack model, fault set, liveness, no cycle
-of unobservable events, witness runs agreeing on observations), so both
-questions accept and refuse the same plants.
+No production module imports it.  Tamper-tolerant diagnosability at budget
+C is decided in production by :func:`tamperest.cmin.verify_diagnosability`,
+the minimum-defeating-budget search cut off at C.  This module builds the
+paper's own construction for the same question, and the tests check the
+production verdicts against it.
 
-Reference only, for the tests: the cost-layered verifier.  The plant is
-augmented with the attacker's actions: states become ``(plant_state, spent)``
-pairs, substitutions and insertions appear as extra observable transitions
-that raise the spent component, and deletions appear as fresh unobservable
-marker events.  A twin verifier then tracks two runs of the augmented plant
-with equal observable projections, labelling each run ``N`` or ``F``; built
-with cost bound C, it has a reachable mismatched cycle exactly when the
-system is non-diagnosable at C.
+The plant is augmented with the attacker's actions: states become
+``(plant_state, spent)`` pairs, substitutions and insertions appear as extra
+observable transitions that raise the spent component, and deletions appear
+as fresh unobservable marker events.  A twin verifier then tracks two runs
+of the augmented plant with equal observable projections, labelling each
+run ``N`` or ``F``; built with cost bound C, it has a reachable mismatched
+cycle exactly when the system is non-diagnosable at C.  Its state count is
+bounded by ``(2|X|(C+1))^2``, the paper's size bound, and the build checks
+it.  `PlantNfa.events_at` serves only this construction and the oracle.
 """
 
 from __future__ import annotations
@@ -26,18 +26,8 @@ from typing import Mapping, Optional, Sequence
 
 from .attacks import AttackModel, check_budget
 from .automata import PlantNfa, sort_key
-from .cmin import (
-    FAULTY,
-    NORMAL,
-    CorruptedAutomaton,
-    analyze_minimum_budget,
-    check_faults,
-    is_mismatched,
-    side_run,
-)
+from .cmin import FAULTY, NORMAL, check_faults, is_mismatched
 from .scc import cycle_within, strongly_connected_components
-
-# -- reference only: the cost-layered twin verifier ---------------------------
 
 
 @dataclass(frozen=True)
@@ -302,67 +292,3 @@ def _access_path(verifier: TwinVerifier, goal) -> tuple:
                 parent[dst] = step
                 queue.append(dst)
     raise ValueError("confused cycle is not reachable; verifier is inconsistent")
-
-
-# -- diagnosability through the costed twin verifier -------------------------
-
-
-@dataclass(frozen=True)
-class DiagnosisWitness:
-    """Counterexample: two equal-projection runs, one faulty, one normal.
-
-    `access` (the cheapest attack into a confused state) and `cycle` (cost
-    free, back to that state) are costed twin-verifier steps.
-    """
-
-    access: tuple
-    cycle: tuple
-    left_run: tuple
-    right_run: tuple
-
-
-@dataclass(frozen=True)
-class DiagnosisResult:
-    """Verdict at `budget`; `corrupted` is the automaton the search ran on, for ``--dot``."""
-
-    diagnosable: bool
-    budget: int
-    witness: Optional[DiagnosisWitness] = None
-    corrupted: Optional[CorruptedAutomaton] = field(default=None, compare=False, repr=False)
-
-
-def verify_diagnosability(
-    plant: PlantNfa,
-    model: AttackModel,
-    faults: Optional[frozenset] = None,
-    budget: int = 0,
-    want_witness: bool = False,
-) -> DiagnosisResult:
-    """Decide whether every fault is eventually detected at this attack budget.
-
-    The attacker may spend up to `budget` on each of the two runs, so the
-    verdict is False exactly when the minimum defeating budget is at most
-    `budget`; it then comes with a faulty and a fault-free run that stay
-    observation-equivalent forever.  The model, the fault set and the plant
-    preconditions are checked by `analyze_minimum_budget`, which raises
-    :class:`PreconditionError` on a reachable dead plant state or cycle of
-    unobservable events.
-    """
-    check_budget(budget)
-    found = analyze_minimum_budget(
-        plant, model, faults, want_witness=want_witness, budget=budget
-    )
-    if not found.defeatable:
-        return DiagnosisResult(diagnosable=True, budget=budget, corrupted=found.corrupted)
-    witness = None
-    if want_witness:
-        steps = found.witness + found.cycle
-        witness = DiagnosisWitness(
-            access=found.witness,
-            cycle=found.cycle,
-            left_run=side_run(steps, "L"),
-            right_run=side_run(steps, "R"),
-        )
-    return DiagnosisResult(
-        diagnosable=False, budget=budget, witness=witness, corrupted=found.corrupted
-    )

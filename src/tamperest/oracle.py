@@ -8,7 +8,9 @@ plain BFS over budgets.  No construction code is shared with the production
 modules (imports are limited to the plant type, the attack model and its
 labels), so agreement between the two routes is meaningful evidence.  The
 matching sequences come from `enumerate_matching`, an exhaustive search
-over the attack rules that lives here for that reason.
+over the attack rules that lives here for that reason, and
+`project_original` reads the pre-attack word each one explains (the
+reference product in :mod:`tamperest.reference` uses it too).
 
 The ``brute_force_*`` functions refuse inputs larger than their
 :class:`OracleBudget`; they, and `enumerate_matching`, are meant for
@@ -24,14 +26,14 @@ from .attacks import (
     AttackModel,
     Del,
     Ins,
+    Label,
     Plain,
     Sub,
     check_budget,
     label_sort_key,
-    project_original,
 )
 from .automata import PlantNfa, sort_key
-from .errors import OracleBudgetError
+from .errors import OracleBudgetError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,23 @@ class CostedSequence:
 
     labels: tuple
     cost: int
+
+
+def project_original(labels: Sequence[Label]) -> tuple:
+    """The pre-attack observation a label sequence explains.
+
+    Untouched and deleted symbols map to themselves, substitutions map to
+    their original symbol, insertions vanish.
+    """
+    out = []
+    for label in labels:
+        if isinstance(label, (Plain, Del)):
+            out.append(label.symbol)
+        elif isinstance(label, Sub):
+            out.append(label.original)
+        elif not isinstance(label, Ins):
+            raise ValidationError(f"not an attack label: {label!r}")
+    return tuple(out)
 
 
 def enumerate_matching(

@@ -12,7 +12,9 @@ bound ``B`` (cost ``B`` means "at least B"; an attacker budget ``C`` uses
 `ending_estimates` reads the final stage.  The tests check the production
 sweep, `estimate_least_cost` and `estimation_graph`, against these; the
 sweep builds its own move table from the attack model, and the product
-calls ``PlantNfa.reach`` itself, so the two routes share no table.
+calls ``PlantNfa.reach`` itself, so the two routes share no table; the
+product reads each label's pre-attack symbol with the oracle's
+`project_original`.
 `matching_language` lists the stage machine's label sequences up to a
 cost, which the tests compare with the oracle's `enumerate_matching`.
 
@@ -38,13 +40,13 @@ from .attacks import (
     Sub,
     check_budget,
     label_sort_key,
-    project_original,
     render_label,
 )
 from .automata import PlantNfa, sort_key
 from .dot import _q
 from .errors import ConfigurationError, ValidationError
 from .estimator import Estimate
+from .oracle import project_original
 
 
 def label_cost(label: Label, model: AttackModel) -> int:

@@ -12,30 +12,27 @@ from tamperest.attacks import (
     Ins,
     Plain,
     Sub,
-    project_original,
 )
 from tamperest.automata import build_observer
 from tamperest.cmin import (
+    FAULTY,
+    NORMAL,
     analyze_minimum_budget,
     build_corrupted_automaton,
     build_costed_twin_verifier,
     find_free_confusion_states,
     minimum_defeating_budget,
     pareto_update,
-)
-from tamperest.diagnoser import (
-    FAULTY,
-    NORMAL,
-    build_costed_plant,
-    build_twin_verifier,
     verify_diagnosability,
 )
+from tamperest.diagnoser import build_costed_plant, build_twin_verifier
 from tamperest.estimator import estimate_least_cost
 from tamperest.oracle import (
     brute_force_diagnosable,
     brute_force_estimate,
     brute_force_minimum_budget,
     enumerate_matching,
+    project_original,
 )
 from tamperest.reference import (
     build_costed_matching_dfa,

@@ -13,10 +13,9 @@ from tamperest.attacks import (
     Sub,
     model_from_dict,
     model_to_dict,
-    project_original,
 )
 from tamperest.errors import ValidationError
-from tamperest.oracle import enumerate_matching
+from tamperest.oracle import enumerate_matching, project_original
 from tamperest.reference import enumerate_tampered, label_cost, project_received, total_cost
 
 from instances import random_attack_model, random_observation

@@ -275,6 +275,8 @@ def test_malformed_options_exit_2_with_one_json_error_line(capsys):
         (("estimate", "--plant", "x", "--obs", "a", "--budget", "x"), "invalid int value: 'x'"),
         (("cmin", "--plant"), "expected one argument"),
         (("cmin", "--plant", CONF_PLANT, "--budget", "1"), "unrecognized arguments"),
+        (("diagnose", "--plant", DEFE_PLANT, "--attacks", DEFE_COSTS, "--budget", "-2"),
+         "budget must be an integer >= 0, got -2"),
         ((), "required: command"),
     ]
     for argv, message in cases:
@@ -641,6 +643,42 @@ def test_optimized_interpreter_prints_the_same(tmp_path):
     estimate = ("estimate", "--plant", EST_PLANT, "--attacks", EST_COSTS,
                 "--obs", "β α α", "--budget", "2", "--witness")
     assert run(["-O"], *estimate) == run([], *estimate)
+
+
+def test_cli_process_loads_no_reference_module(tmp_path):
+    """Every command runs on production modules alone: no reference code, layered verifier or oracle."""
+    src = str(Path(tamperest.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
+    defeatable = ("--plant", DEFE_PLANT, "--attacks", DEFE_COSTS)
+    runs = [
+        ["estimate", "--plant", EST_PLANT, "--attacks", EST_COSTS, "--obs", "β α α",
+         "--budget", "2", "--witness", "--dot", str(tmp_path / "estimate.dot")],
+        ["diagnose", *defeatable, "--budget", "2", "--witness",
+         "--dot", str(tmp_path / "diagnose.dot")],
+        ["cmin", *defeatable, "--witness", "--dot", str(tmp_path / "cmin.dot")],
+        ["observer", "--plant", EST_PLANT],
+        ["export-dot", "--plant", DIAG_PLANT, "--target", "observer"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from tamperest.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(json.dumps(sorted(name for name in sys.modules if name.startswith('tamperest'))))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs)],
+        capture_output=True,
+        encoding="utf-8",
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(json.loads(result.stdout))
+    assert {"tamperest.cli", "tamperest.cmin", "tamperest.estimator"} <= loaded
+    assert not loaded & {"tamperest.diagnoser", "tamperest.reference", "tamperest.oracle"}
+    assert all((tmp_path / name).read_text().startswith("digraph")
+               for name in ("estimate.dot", "diagnose.dot", "cmin.dot"))
 
 
 def test_package_runs_as_a_module(capsys):

@@ -10,6 +10,8 @@ from tamperest import fixtures
 from tamperest.attacks import AttackModel
 from tamperest.cmin import (
     EPSILON,
+    FAULTY,
+    NORMAL,
     CostPair,
     _LazyTwin,
     analyze_minimum_budget,
@@ -21,14 +23,9 @@ from tamperest.cmin import (
     pareto_update,
     propagate_cost_labels,
     step_costs,
-)
-from tamperest.diagnoser import (
-    FAULTY,
-    NORMAL,
-    build_costed_plant,
-    build_twin_verifier,
     verify_diagnosability,
 )
+from tamperest.diagnoser import build_costed_plant, build_twin_verifier
 from tamperest.errors import PreconditionError, ValidationError
 from tamperest.oracle import brute_force_minimum_budget
 
@@ -605,3 +602,13 @@ def test_preconditions_are_those_of_diagnose():
 def test_faults_must_be_unobservable(estimation_plant, empty_model):
     with pytest.raises(ValidationError):
         analyze_minimum_budget(estimation_plant, empty_model, faults=frozenset({A}))
+
+
+@pytest.mark.parametrize("budget", ["3", -1, True, 1.5])
+def test_the_one_entry_checks_the_budget(defeatable_plant, defeatable_costs, budget):
+    """`analyze_minimum_budget` refuses a budget that is not an integer >= 0, and so does `diagnose`."""
+    message = f"budget must be an integer >= 0, got {budget!r}"
+    for analysis in (analyze_minimum_budget, verify_diagnosability):
+        with pytest.raises(ValidationError) as refused:
+            analysis(defeatable_plant, defeatable_costs, budget=budget)
+        assert str(refused.value) == message

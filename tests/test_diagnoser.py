@@ -4,15 +4,19 @@ import pytest
 
 from tamperest.attacks import AttackModel
 from tamperest.automata import PlantNfa
-from tamperest.cmin import is_mismatched, minimum_defeating_budget, step_costs
-from tamperest.diagnoser import (
+from tamperest.cmin import (
     FAULTY,
     NORMAL,
+    is_mismatched,
+    minimum_defeating_budget,
+    step_costs,
+    verify_diagnosability,
+)
+from tamperest.diagnoser import (
     DeletionMarker,
     build_costed_plant,
     build_twin_verifier,
     find_confused_cycle,
-    verify_diagnosability,
 )
 from tamperest.errors import PreconditionError, ValidationError
 from tamperest.oracle import OracleBudget, brute_force_diagnosable

@@ -7,13 +7,12 @@ from tamperest.attacks import (
     Del,
     Plain,
     Sub,
-    project_original,
 )
 from tamperest import dot
 from tamperest.automata import build_observer
 from tamperest.errors import ConfigurationError, ValidationError
 from tamperest.estimator import _moves, estimate_least_cost, estimation_graph
-from tamperest.oracle import brute_force_estimate
+from tamperest.oracle import brute_force_estimate, project_original
 from tamperest.reference import (
     build_costed_matching_dfa,
     build_matching_automaton,

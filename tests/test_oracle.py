@@ -6,6 +6,9 @@ import pytest
 
 import tamperest
 import tamperest.attacks
+import tamperest.cli
+import tamperest.cmin
+import tamperest.diagnoser
 import tamperest.dot
 import tamperest.oracle
 import tamperest.reference
@@ -73,20 +76,46 @@ REFERENCE_NAMES = (
 )
 
 
+#: Reference code kept in other modules: the paper's cost-layered verifier, the
+#: `cmin` reference searches (the benchmark's traced run wraps them where they
+#: are) and the oracle's label projection.
+REFERENCE_NAMES_ELSEWHERE = {
+    tamperest.diagnoser: (
+        "CostedPlant",
+        "DeletionMarker",
+        "TwinVerifier",
+        "build_costed_plant",
+        "build_twin_verifier",
+        "find_confused_cycle",
+    ),
+    tamperest.cmin: ("CostPair", "find_free_confusion_states", "pareto_update"),
+    tamperest.oracle: ("project_original",),
+}
+
+#: The modules that hold reference or ground-truth code; production imports none.
+REFERENCE_MODULES = ("diagnoser", "oracle", "reference")
+
+
 def test_only_the_tests_import_the_reference_module():
     """Production reaches no reference code, and the package exports none of it."""
     source = Path(tamperest.__file__).parent
     modules = sorted(source.glob("*.py"))
-    assert source / "reference.py" in modules
+    assert {source / f"{name}.py" for name in REFERENCE_MODULES} <= set(modules)
+    held = {f"tamperest.{name}" for name in REFERENCE_MODULES}
     for path in modules:
-        if path.name != "reference.py":
-            assert "tamperest.reference" not in _imported_modules(path), path.name
+        if path.stem not in REFERENCE_MODULES:
+            assert not _imported_modules(path) & held, path.name
+    elsewhere = [name for names in REFERENCE_NAMES_ELSEWHERE.values() for name in names]
     for name in REFERENCE_NAMES:
         assert hasattr(tamperest.reference, name)
+    for module, names in REFERENCE_NAMES_ELSEWHERE.items():
+        assert all(hasattr(module, name) for name in names), module.__name__
+    for name in (*REFERENCE_NAMES, *elsewhere):
         assert name not in tamperest.__all__ and not hasattr(tamperest, name)
-    for module in (tamperest.estimator, tamperest.attacks, tamperest.dot):
-        assert not any(hasattr(module, name) for name in REFERENCE_NAMES)
+    for module in (tamperest.estimator, tamperest.attacks, tamperest.dot, tamperest.cli):
+        assert not any(hasattr(module, name) for name in (*REFERENCE_NAMES, *elsewhere))
     assert "reference code" in tamperest.reference.__doc__.lower()
+    assert "reference code" in tamperest.diagnoser.__doc__.lower()
 
 
 def test_estimate_reduces_to_the_observer(estimation_plant, empty_model):
