@@ -20,7 +20,6 @@ from .attacks import (
     Sub,
     load_model,
     model_from_dict,
-    model_to_dict,
 )
 from .automata import (
     ObserverDfa,
@@ -29,7 +28,6 @@ from .automata import (
     dead_reachable_state,
     load_plant,
     plant_from_dict,
-    plant_to_dict,
     unobservable_cycle,
 )
 from .cmin import (

@@ -162,16 +162,5 @@ def model_from_dict(data: dict) -> AttackModel:
     return AttackModel(deletions, insertions, substitutions)
 
 
-def model_to_dict(model: AttackModel) -> dict:
-    return {
-        "deletions": {s: c for s, c in sorted(model.deletions.items())},
-        "insertions": {s: c for s, c in sorted(model.insertions.items())},
-        "substitutions": [
-            {"from": original, "to": observed, "cost": cost}
-            for (original, observed), cost in sorted(model.substitutions.items())
-        ],
-    }
-
-
 def load_model(path) -> AttackModel:
     return model_from_dict(read_json(path))

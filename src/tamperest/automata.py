@@ -2,11 +2,11 @@
 
 A plant is an NFA whose alphabet is split into observable and unobservable
 events; a subset of the unobservable events may be designated as faults.
-This module provides the transition algebra (``step``), the natural
-projection onto observable events, the reachability operator ``reach`` that
-accounts for unobservable moves, the observer (subset construction), and the
-two structural checks (liveness, absence of unobservable cycles) that the
-diagnosability analyses rely on.
+This module provides the reachability operator ``reach`` that accounts for
+unobservable moves, the plant's canonical state numbering and one-symbol
+reach table, the observer (subset construction), the two structural checks
+(liveness, absence of unobservable cycles) that the diagnosability analyses
+rely on, and the JSON loader.
 
 All objects are immutable after construction; every operation is a pure
 function of its inputs.
@@ -147,28 +147,7 @@ class PlantNfa:
             if event not in allowed:
                 raise ValidationError(f"{event!r} is not {what}")
 
-    # -- transition algebra -----------------------------------------------
-
-    def step(self, states: Iterable, sequence: Sequence[Symbol]) -> frozenset:
-        """Exact runs: states reachable from `states` by the event sequence.
-
-        No unobservable closure is applied; the sequence must be executed
-        literally, one transition per event.
-        """
-        current = self._check_states(states)
-        self._check_events(sequence, self.alphabet, "a plant event")
-        for event in sequence:
-            current = frozenset(
-                dst for src in current for dst in self.successors(src, event)
-            )
-            if not current:
-                return current
-        return current
-
-    def project(self, sequence: Sequence[Symbol]) -> tuple:
-        """Natural projection: erase unobservable events, keep order."""
-        self._check_events(sequence, self.alphabet, "a plant event")
-        return tuple(e for e in sequence if e in self.observable)
+    # -- reachability -------------------------------------------------------
 
     def unobservable_closure(self, states: Iterable) -> frozenset:
         """States reachable via any number of unobservable moves."""
@@ -253,7 +232,8 @@ class ObserverDfa:
     """Deterministic observer over subsets of plant states.
 
     Only the accessible part is kept; every state is a non-empty frozenset
-    of plant states, and the transition map is partial and read-only.
+    of plant states, and the transition map ``(subset, symbol) -> subset``
+    is partial and read-only.
     """
 
     plant: PlantNfa
@@ -263,18 +243,6 @@ class ObserverDfa:
 
     def __post_init__(self):
         object.__setattr__(self, "transitions", MappingProxyType(dict(self.transitions)))
-
-    def step(self, subset: frozenset, symbol: Symbol) -> Optional[frozenset]:
-        return self.transitions.get((subset, symbol))
-
-    def run(self, observation: Sequence[Symbol]) -> Optional[frozenset]:
-        """Observer state after `observation`, or None if undefined."""
-        current = self.initial
-        for symbol in observation:
-            current = self.step(current, symbol)
-            if current is None:
-                return None
-        return current
 
 
 def build_observer(plant: PlantNfa) -> ObserverDfa:
@@ -354,22 +322,6 @@ def plant_from_dict(data: dict) -> PlantNfa:
         if len(sets[key]) != len(data[key]):
             raise ValidationError(f"plant {key!r} entries must not repeat")
     return plant
-
-
-def plant_to_dict(plant: PlantNfa) -> dict:
-    return {
-        "states": sorted(plant.states, key=sort_key),
-        "observable": sorted(plant.observable),
-        "unobservable": sorted(plant.unobservable),
-        "faults": sorted(plant.faults),
-        "initial": sorted(plant.initial, key=sort_key),
-        "transitions": [
-            {"from": src, "event": event, "to": dst}
-            for (src, event, dst) in sorted(
-                plant.transitions, key=lambda t: (sort_key(t[0]), t[1], sort_key(t[2]))
-            )
-        ],
-    }
 
 
 def read_json(path):

@@ -192,11 +192,11 @@ def _cmd_estimate(args) -> int:
 
 def _witness_payload(access, cycle) -> dict:
     """Both runs of an attack into confusion plus its cost-free cycle, and the cycle alone."""
-    steps = access + cycle
+    left, right = side_run(cycle, "L"), side_run(cycle, "R")
     return {
-        "left_run": list(side_run(steps, "L")),
-        "right_run": list(side_run(steps, "R")),
-        "cycle": {"left": list(side_run(cycle, "L")), "right": list(side_run(cycle, "R"))},
+        "left_run": [*side_run(access, "L"), *left],
+        "right_run": [*side_run(access, "R"), *right],
+        "cycle": {"left": list(left), "right": list(right)},
     }
 
 

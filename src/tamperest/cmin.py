@@ -39,10 +39,12 @@ then the standing assumptions of Sampath et al. (IEEE TAC 1995): every
 reachable plant state is live and on no cycle of unobservable events.
 Attack edges only follow plant transitions and deletions always cost, so
 checking the plant suffices.  A witness is checked to observe the same
-symbols on both sides.  `verify_diagnosability` reshapes that cut-off
-search's result into a `DiagnosisResult`; the paper's cost-layered
-verifier, which decides the same question on a plant augmented with cost
-layers, is reference code in :mod:`tamperest.diagnoser`.
+symbols on both sides; `side_run` reads one side's symbols off its steps.
+`verify_diagnosability` reshapes that cut-off search's result into a
+`DiagnosisResult`, and `minimum_defeating_budget` returns the value alone.
+The paper's cost-layered verifier, which decides the same question on a
+plant augmented with cost layers, is reference code in
+:mod:`tamperest.diagnoser`.
 
 Below the engine, `build_costed_twin_verifier` is the engine's own verifier
 made explicit, for ``--dot`` and the tests: it exhausts `_LazyTwin.steps`
@@ -50,10 +52,10 @@ over the same table and states no move rule of its own.
 `find_free_confusion_states` (one whole-graph SCC pass) and
 `propagate_cost_labels` (FIFO label correcting) are independent reference
 searches over it; the tests check the engine's ending test and
-label-setting search against them.  They, `pareto_update` and `CostPair`
-are reference code that no production path calls and `tamperest` does not
-export; they stay in this module because the benchmark's traced run
-(``perfbench/tracing.py``) wraps them here.
+label-setting search against them.  They and their helpers `step_costs`,
+`pareto_update` and `CostPair` are reference code that no production path
+calls and `tamperest` does not export; they stay in this module because
+the benchmark's traced run (``perfbench/tracing.py``) wraps them here.
 """
 
 from __future__ import annotations
@@ -155,16 +157,6 @@ class CorruptedAutomaton:
     symbols: tuple = field(repr=False)
     observed: tuple = field(repr=False)
     silent: tuple = field(repr=False)
-
-    def targets(self, state, symbol: str, cost: int) -> frozenset:
-        """Plant states one `symbol` edge of this `cost` away; `EPSILON` at 0 is the stay."""
-        x = self.plant.index.get(state)
-        if x is None or symbol not in self.symbols:
-            return frozenset()
-        e = self.symbols.index(symbol)
-        moves = self.observed[x].get(e, ()) + tuple((0, t) for (s, t) in self.silent[x] if s == e)
-        order = self.plant.order
-        return frozenset(order[t] for (c, targets) in moves if c == cost for t in targets)
 
 
 def build_corrupted_automaton(plant: PlantNfa, model: AttackModel) -> CorruptedAutomaton:
@@ -461,13 +453,12 @@ class DiagnosisWitness:
     """Counterexample: two equal-projection runs, one faulty, one normal.
 
     `access` (the cheapest attack into a confused state) and `cycle` (cost
-    free, back to that state) are costed twin-verifier steps.
+    free, back to that state) are costed twin-verifier steps; `side_run`
+    reads the symbols either side observes along them.
     """
 
     access: tuple
     cycle: tuple
-    left_run: tuple
-    right_run: tuple
 
 
 @dataclass(frozen=True)
@@ -502,15 +493,7 @@ def verify_diagnosability(
     )
     if not found.defeatable:
         return DiagnosisResult(diagnosable=True, budget=budget, corrupted=found.corrupted)
-    witness = None
-    if want_witness:
-        steps = found.witness + found.cycle
-        witness = DiagnosisWitness(
-            access=found.witness,
-            cycle=found.cycle,
-            left_run=side_run(steps, "L"),
-            right_run=side_run(steps, "R"),
-        )
+    witness = DiagnosisWitness(access=found.witness, cycle=found.cycle) if want_witness else None
     return DiagnosisResult(
         diagnosable=False, budget=budget, witness=witness, corrupted=found.corrupted
     )

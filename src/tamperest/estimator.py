@@ -52,9 +52,6 @@ class Estimate:
         if self.witnesses is not None:
             object.__setattr__(self, "witnesses", MappingProxyType(dict(self.witnesses)))
 
-    def states(self) -> frozenset:
-        return frozenset(self.pairs)
-
     def cost(self, state) -> Optional[int]:
         return self.pairs.get(state)
 

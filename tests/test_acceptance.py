@@ -101,7 +101,7 @@ def test_criterion_03_observer_reproduction(estimation_plant):
         observer = build_observer(estimation_plant)
         chain = [observer.initial]
         for symbol in (A, B, A):
-            chain.append(observer.step(chain[-1], symbol))
+            chain.append(observer.transitions.get((chain[-1], symbol)))
         assert chain == [
             frozenset({0, 1, 2, 3, 4}),
             frozenset({2, 3, 4}),

@@ -12,7 +12,6 @@ from tamperest.attacks import (
     Plain,
     Sub,
     model_from_dict,
-    model_to_dict,
 )
 from tamperest.errors import ValidationError
 from tamperest.oracle import enumerate_matching, project_original
@@ -279,11 +278,6 @@ def test_infinite_or_fractional_budgets_are_rejected(estimation_costs):
 
 
 # -- JSON ------------------------------------------------------------------------
-
-
-def test_model_round_trip(estimation_costs, diagnosable_costs, defeatable_costs):
-    for model in (estimation_costs, diagnosable_costs, defeatable_costs, AttackModel.empty()):
-        assert model_from_dict(model_to_dict(model)) == model
 
 
 def test_model_from_dict_rejects_bad_entries():

@@ -9,6 +9,7 @@ from tamperest.cmin import (
     NORMAL,
     is_mismatched,
     minimum_defeating_budget,
+    side_run,
     step_costs,
     verify_diagnosability,
 )
@@ -258,9 +259,11 @@ def test_witness_runs_have_equal_projections_and_split_fault(defeatable_plant, d
     def projection(run):
         return [e for e in run if e in observable]
 
-    assert projection(witness.left_run) == projection(witness.right_run)
-    left_faulty = any(e in defeatable_plant.faults for e in witness.left_run)
-    right_faulty = any(e in defeatable_plant.faults for e in witness.right_run)
+    steps = witness.access + witness.cycle
+    left_run, right_run = side_run(steps, "L"), side_run(steps, "R")
+    assert projection(left_run) == projection(right_run)
+    left_faulty = any(e in defeatable_plant.faults for e in left_run)
+    right_faulty = any(e in defeatable_plant.faults for e in right_run)
     assert left_faulty != right_faulty
 
 

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import random
 from pathlib import Path
 
@@ -116,6 +117,65 @@ def test_only_the_tests_import_the_reference_module():
         assert not any(hasattr(module, name) for name in (*REFERENCE_NAMES, *elsewhere))
     assert "reference code" in tamperest.reference.__doc__.lower()
     assert "reference code" in tamperest.diagnoser.__doc__.lower()
+
+
+#: The modules one CLI process loads (`test_cli_process_loads_no_reference_module`).
+CLI_MODULES = (
+    "tamperest", "tamperest.attacks", "tamperest.automata", "tamperest.cli", "tamperest.cmin",
+    "tamperest.dot", "tamperest.errors", "tamperest.estimator", "tamperest.fixtures",
+    "tamperest.scc",
+)
+
+#: Names in the CLI modules that no CLI module calls, and why each stays.
+PINS = {
+    "PlantNfa.events_at": "the benchmark's traced run patches it",
+    "find_free_confusion_states": "the benchmark's traced run patches it",
+    "propagate_cost_labels": "the benchmark's traced run patches it",
+    "minimum_defeating_budget": "the benchmark's run imports it",
+    "Estimate.cost": "the benchmark's tests call it",
+    "CostPair.total": "part of the reference types the traced run reaches",
+    "label_sort_key": "the label order the oracle and tamperest.reference sort by",
+    "OracleBudgetError": "the oracle's error, in the one error module the oracle may import",
+    "_Parser.error": "argparse calls it on a usage error",
+}
+
+
+def test_every_production_name_has_a_production_caller():
+    """Each module-level function and class of a CLI module, and each method of those
+    classes, is used by some CLI module other than ``__init__.py``, or pinned above.
+
+    A use is an `ast.Name`, an attribute or an imported name; a method counts only
+    attribute uses.  A use of any same-named thing counts, so the scan can miss an
+    unused name but never flags a used one.
+    """
+    defined, names, attributes = set(), set(), set()  # defined: (class or None, name)
+    for module in CLI_MODULES:
+        path = Path(importlib.import_module(module).__file__)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((None, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined.update(
+                    (node.name, item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+                )
+        if module == "tamperest":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    unused = {
+        name if owner is None else f"{owner}.{name}"
+        for owner, name in defined
+        if name not in (names | attributes if owner is None else attributes)
+    }
+    assert unused == set(PINS)
 
 
 def test_estimate_reduces_to_the_observer(estimation_plant, empty_model):
